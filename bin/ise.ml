@@ -1855,7 +1855,7 @@ let netchaos_profile_names () =
        (Ise_fabric.Netchaos.calm :: Ise_fabric.Netchaos.all))
 
 let fabric_worker_cmd =
-  let run socket jobs proto quiet =
+  let run socket jobs quiet =
     let log =
       if quiet then ignore
       else fun msg -> Printf.eprintf "[ise-fabric-worker] %s\n%!" msg
@@ -1863,7 +1863,6 @@ let fabric_worker_cmd =
     Ise_fabric.Worker.run
       { (Ise_fabric.Worker.default_config ~socket_path:socket) with
         jobs;
-        proto;
         log;
       };
     0
@@ -1873,12 +1872,6 @@ let fabric_worker_cmd =
          & info [ "socket" ] ~docv:"PATH"
              ~doc:"Unix domain socket this worker listens on.")
   in
-  let proto_arg =
-    Arg.(value & opt int Ise_fabric.Wire.version
-         & info [ "proto" ] ~docv:"V"
-             ~doc:"Highest fabric protocol version to speak (compatibility \
-                   testing: 1 behaves like a pre-heartbeat worker).")
-  in
   let quiet_arg =
     Arg.(value & flag & info [ "q"; "quiet" ] ~doc:"No lifecycle logging.")
   in
@@ -1887,7 +1880,7 @@ let fabric_worker_cmd =
        ~doc:"Run a fabric worker daemon: executes campaign shard ranges for \
              a supervisor over a Unix socket, fanned out over a persistent \
              process pool")
-    Term.(const run $ socket_arg $ jobs_arg $ proto_arg $ quiet_arg)
+    Term.(const run $ socket_arg $ jobs_arg $ quiet_arg)
 
 let fabric_chaos_proxy_cmd =
   let run listen upstream seed profile quiet =
@@ -2051,7 +2044,7 @@ let fabric_run_cmd =
       exit 1
     end;
     (* the observability plane: any of --top/--status-out/--prom-out/
-       --trace-dir turns on v3 telemetry streaming.  --top owns the
+       --trace-dir turns on telemetry streaming.  --top owns the
        terminal, so it implies --quiet. *)
     let observing =
       top || status_out <> None || prom_out <> None || trace_dir <> None
@@ -2320,7 +2313,7 @@ let fabric_run_cmd =
          & info [ "top" ]
              ~doc:"Live campaign dashboard on stderr (refreshing table of \
                    per-worker state, throughput, ETA); implies --quiet and \
-                   v3 telemetry streaming.  Campaign stdout is unchanged.")
+                   telemetry streaming.  Campaign stdout is unchanged.")
   in
   let status_out_arg =
     Arg.(value & opt (some string) None

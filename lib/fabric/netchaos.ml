@@ -371,7 +371,10 @@ let pump_frames px pair d now =
   else begin
     let continue = ref true in
     while !continue && not pair.p_dead do
-      match Codec.decode ~max_payload:px.max_payload d.d_buf ~pos:0 ~len:d.d_len with
+      match
+        Codec.decode ~max_payload:px.max_payload ~proto:Wire.version d.d_buf
+          ~pos:0 ~len:d.d_len
+      with
       | Codec.Need_more -> continue := false
       | Codec.Corrupt _ -> d.d_raw <- true; continue := false
       | Codec.Frame { consumed; _ } ->

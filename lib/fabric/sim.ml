@@ -3,7 +3,6 @@ let available = Ise_pool.Pool.fork_available
 type t = {
   dir : string;
   jobs : int;
-  proto : int;
   trace_dir : string option;
   log : (string -> unit) option;
   wpids : int array;  (* worker pids; restart replaces entries *)
@@ -12,7 +11,7 @@ type t = {
   proxies : int array;  (* netchaos proxy pids; empty without netchaos *)
 }
 
-let fork_worker ~jobs ~proto ~log ?trace_out sock =
+let fork_worker ~jobs ~log ?trace_out sock =
   match Unix.fork () with
   | 0 ->
     (* the child is a worker daemon and nothing else: any exit path
@@ -22,7 +21,6 @@ let fork_worker ~jobs ~proto ~log ?trace_out sock =
        let cfg =
          { (Worker.default_config ~socket_path:sock) with
            jobs;
-           proto;
            trace_out;
            log = (match log with Some l -> l | None -> ignore);
          }
@@ -54,8 +52,7 @@ let trace_path trace_dir k =
     (fun d -> Filename.concat d (Printf.sprintf "worker%d.trace.json" k))
     trace_dir
 
-let start ?(jobs = 1) ?log ?(proto = Wire.version) ?netchaos ?trace_dir ~dir
-    ~n () =
+let start ?(jobs = 1) ?log ?netchaos ?trace_dir ~dir ~n () =
   if not available then
     invalid_arg "Sim.start: fork is not available on this platform";
   if n <= 0 then invalid_arg "Sim.start: need at least one worker";
@@ -81,7 +78,7 @@ let start ?(jobs = 1) ?log ?(proto = Wire.version) ?netchaos ?trace_dir ~dir
   let wpids =
     Array.mapi
       (fun k sock ->
-        fork_worker ~jobs ~proto ~log ?trace_out:(trace_path trace_dir k) sock)
+        fork_worker ~jobs ~log ?trace_out:(trace_path trace_dir k) sock)
       real
   in
   let proxies =
@@ -92,7 +89,7 @@ let start ?(jobs = 1) ?log ?(proto = Wire.version) ?netchaos ?trace_dir ~dir
           Netchaos.spawn ?log ~listen:public.(k) ~upstream:real.(k)
             ~seed:(seed + (7919 * k)) ~profile ())
   in
-  { dir; jobs; proto; trace_dir; log; wpids; real; public; proxies }
+  { dir; jobs; trace_dir; log; wpids; real; public; proxies }
 
 let sockets t = Array.to_list t.public
 let pids t = Array.to_list t.wpids
@@ -108,7 +105,7 @@ let kill t k =
 let restart t k =
   if k < 0 || k >= Array.length t.wpids then invalid_arg "Sim.restart";
   t.wpids.(k) <-
-    fork_worker ~jobs:t.jobs ~proto:t.proto ~log:t.log
+    fork_worker ~jobs:t.jobs ~log:t.log
       ?trace_out:(trace_path t.trace_dir k)
       t.real.(k);
   wait_ready t.real.(k)

@@ -3,6 +3,9 @@
 
     Dispatch discipline:
 
+    - a worker is admitted only after a strict handshake: its
+      {!Wire.Hello_ok} must carry {!Wire.version}, and any other
+      version is logged as a failed handshake;
     - each worker holds at most [window] shards in flight;
     - a completed shard feeds the {!Plan.ewma} of shard wall-clock,
       and any shard in flight longer than the EWMA deadline (or the
@@ -14,7 +17,7 @@
       {!Registry} — the supervisor keeps probing Down paths
       (backoff-gated) and {e re-admits} a worker that comes back
       mid-campaign;
-    - idle workers on v2 connections are pinged every [heartbeat_s];
+    - idle workers are pinged every [heartbeat_s];
       more than [miss_budget] unanswered pings marks the worker lost.
       Busy workers are legitimately silent (the worker loop is
       single-threaded), so in-flight shards are policed by
@@ -61,14 +64,14 @@ val default_liveness : liveness
     everything enabled. *)
 type observe = {
   stream : bool;
-      (** set [j_stream] on jobs to ≥ v3 workers and absorb the
+      (** set [j_stream] on every job and absorb the
           {!Wire.Telemetry} frames they send back *)
   metrics : Ise_telemetry.Registry.t option;
       (** live aggregate sink: absorbed worker deltas plus the
           supervisor's own [fabric/*] counters *)
   trace : Ise_telemetry.Trace.t option;
-      (** dispatch spans (wall-clock µs).  When set, ≥ v3 workers
-          receive a [j_ctx] and parent their shard spans under the
+      (** dispatch spans (wall-clock µs).  When set, workers receive a
+          [j_ctx] and parent their shard spans under the
           dispatch span — the raw material for [ise trace stitch] *)
   trace_id : string;  (** campaign trace id shipped in every [j_ctx] *)
   status_out : string option;

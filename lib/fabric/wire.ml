@@ -1,8 +1,14 @@
 open Ise_fuzz
 module Codec = Ise_pool.Codec
 
+(* Bump on any change to the message types or the payload envelope.
+   Must differ from the pool's 0 and from [Ise_serve.Proto.version]
+   (see there): the protocol byte alone keeps serve and fabric frames
+   from being unmarshalled as each other's types. *)
 let version = 3
-let min_version = 1
+
+(* not used in-tree; see wire.mli *)
+let hello_proto = version
 
 type campaign =
   | Fuzz of Campaign.spec
@@ -20,18 +26,11 @@ type job = {
   j_shard : int;
   j_lo : int;
   j_hi : int;
-  (* v3 observability fields.  Marshal is structural and every fabric
-     endpoint is the same executable image, so older-*protocol* peers
-     still decode them — they just never act on them: a supervisor
-     only sets them on connections negotiated at >= 3. *)
   j_ctx : (string * string) option;
       (* (trace_id, dispatch span id): the worker parents its shard
          span under the supervisor's dispatch span *)
   j_stream : bool;  (* stream Telemetry frames after this shard *)
 }
-
-let plain_job ~shard ~lo ~hi =
-  { j_shard = shard; j_lo = lo; j_hi = hi; j_ctx = None; j_stream = false }
 
 type request =
   | Hello of { proto : int; git_rev : string }
@@ -55,7 +54,6 @@ type shard_result = {
 type worker_stats = {
   ws_pid : int;
   ws_jobs : int;
-  ws_proto : int;
   ws_shards_run : int;
   ws_pings : int;
   ws_uptime_s : float;
@@ -79,71 +77,19 @@ type response =
   | Error of Ise_serve.Framed.err_kind * string
 
 (* ------------------------------------------------------------------ *)
-(* payload envelopes                                                   *)
-
-(* v2 payloads carry a leading MD5 of the marshalled value: Marshal has
-   no integrity check of its own, and a wire-corrupted payload that
-   still unmarshals (flipped bytes inside an int field) would silently
-   poison the merge.  With the digest, corruption of any payload byte
-   is *guaranteed* to surface as a typed decode failure, which the
-   fault-handling paths (worker error frames, supervisor worker_lost +
-   re-dispatch) then absorb.  v1 payloads are bare marshal — kept so a
-   v2 endpoint still speaks to v1 peers after Hello negotiation. *)
-
-let seal v =
-  let m = Codec.marshal v in
-  Digest.string m ^ m
-
-let unseal s =
-  if String.length s < 16 then None
-  else
-    let d = String.sub s 0 16 in
-    let body = String.sub s 16 (String.length s - 16) in
-    if not (String.equal (Digest.string body) d) then None
-    else match Codec.unmarshal body with
-      | v -> Some v
-      | exception _ -> None
-
-let encode_payload ~proto v =
-  if proto >= 2 then seal v else Codec.marshal v
-
-(* v1 payloads (and the hello exchange, which always travels at v1)
-   have no digest — decode them through the structural validator so a
-   wire-corrupted stream surfaces as [None] instead of crashing the
-   runtime's intern loop. *)
-let decode_payload ~proto s =
-  if proto >= 2 then unseal s else Codec.unmarshal_opt s
-
-(* ------------------------------------------------------------------ *)
 (* framed I/O                                                          *)
 
-(* Hello/Hello_ok always travel at v1 framing — the lowest version any
-   peer speaks — so negotiation itself never needs negotiating.  The
-   agreed version governs every frame after the handshake. *)
-let hello_proto = 1
-
 let write_request ?(proto = version) fd (req : request) =
-  Codec.write_frame ~proto fd (encode_payload ~proto (req : request))
+  Codec.send ~proto fd req
 
-let write_response ?(proto = version) fd (resp : response) =
-  Codec.write_frame ~proto fd (encode_payload ~proto (resp : response))
+let write_response fd (resp : response) = Codec.send ~proto:version fd resp
 
-let read_response ?max_payload fd =
-  match Codec.read_frame_ext ?max_payload fd with
+let read_response ?max_payload fd : (response, string) Stdlib.result =
+  match Codec.recv ?max_payload ~proto:version fd with
+  | Ok resp -> Ok resp
   | Stdlib.Error `Eof -> Stdlib.Error "connection closed by worker"
   | Stdlib.Error (`Corrupt e) ->
-    Stdlib.Error ("corrupt response frame: " ^ Codec.error_to_string e)
-  | Stdlib.Ok (proto, payload) ->
-    if proto < min_version || proto > version then
-      Stdlib.Error
-        (Printf.sprintf
-           "protocol mismatch: worker speaks v%d, we speak v%d..v%d" proto
-           min_version version)
-    else begin
-      match (decode_payload ~proto payload : response option) with
-      | Some resp -> Stdlib.Ok resp
-      | None -> Stdlib.Error "undecodable response payload"
-    end
+    Stdlib.Error ("corrupt response: " ^ Codec.error_to_string e)
 
 (* ------------------------------------------------------------------ *)
 (* shard cache keys and payloads                                       *)
@@ -167,6 +113,6 @@ let shard_key c ~lo ~hi =
            string_of_int lo;
            string_of_int hi ])
 
-let shard_payload_to_string (p : shard_payload) = seal p
+let shard_payload_to_string (p : shard_payload) = Codec.seal p
 
-let shard_payload_of_string str : shard_payload option = unseal str
+let shard_payload_of_string str : shard_payload option = Codec.unseal str

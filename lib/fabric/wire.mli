@@ -1,24 +1,23 @@
 (** The fabric wire protocol: supervisor↔worker messages and shard
     cache keys.
 
-    Same stack and discipline as {!Ise_serve.Proto}: versioned
-    {!Ise_pool.Codec} frames, [Marshal]ed payloads (safe because
-    supervisor and workers are the same [ise] executable image), a
-    mandatory {!Hello} handshake, and typed {!Ise_serve.Framed.err_kind}
-    error frames for anything malformed.
+    Same stack and discipline as {!Ise_serve.Proto}: {!Ise_pool.Codec}
+    frames whose protocol byte is {!version}, payloads sealed by
+    {!Ise_pool.Codec.seal} ([Marshal] plus an MD5 digest — [Marshal]
+    is safe because supervisor and workers are the same [ise]
+    executable image), a mandatory {!Hello} handshake, and typed
+    {!Ise_serve.Framed.err_kind} error frames for anything malformed.
 
-    {b Versioning.}  v1 (PR 8) payloads are bare marshal; v2 payloads
-    carry a leading MD5 digest of the marshalled value, and v2 adds
-    {!Ping}/{!Pong} liveness frames and chaos campaigns.  v3 adds the
-    observability plane: trace context and a streaming flag on
-    {!job}, and unsolicited {!Telemetry} delta-snapshot frames from
-    the worker.  {!Hello} and {!Hello_ok} always travel at v1 framing
-    ({!hello_proto}) so the handshake itself needs no negotiation;
-    each side advertises the highest version it speaks and the
-    connection proceeds at the minimum of the two.  A supervisor never
-    sends {!Ping} or a context-carrying job (or any other
-    higher-version construct) on a connection negotiated below it —
-    old workers still speak, they just don't stream.
+    {b One version.}  There is no negotiation: every frame carries
+    {!version}, and both ends of a {!Hello}/{!Hello_ok} exchange
+    require the peer's [proto] to equal it.  A worker answers any
+    other version with an [Unsupported_proto] error frame; a
+    supervisor that gets a {!Hello_ok} at another version logs a
+    failed handshake and never dispatches to that worker.  Every
+    message — {!Ping}, trace context, {!Telemetry} — is therefore
+    available on every connection.  Every payload read off the wire
+    goes through {!Ise_pool.Codec.unseal}: digest, then structural
+    marshal validation, then unmarshal.
 
     A connection carries one campaign: the supervisor sends
     {!Set_spec} once — the full {!campaign} description, from which
@@ -30,13 +29,17 @@
 open Ise_fuzz
 
 val version : int
-(** Highest fabric protocol version this build speaks (3). *)
-
-val min_version : int
-(** Lowest version still accepted (1). *)
+(** The fabric protocol version (3): the Codec protocol byte of every
+    frame, and the [proto] of {!Hello}/{!Hello_ok}.  It differs from
+    {!Ise_serve.Proto.version} and from the pool's 0, so a frame sent
+    to the wrong kind of endpoint is refused from its header with
+    [Unsupported_proto] and never unmarshalled as this module's
+    types. *)
 
 val hello_proto : int
-(** The framing version of Hello/Hello_ok frames (= {!min_version}). *)
+(** Equal to {!version}.  Kept only so the benchmark under
+    [perfbench/], which frames its Hello with it, still compiles; no
+    in-tree code uses it. *)
 
 (** {1 Campaigns} *)
 
@@ -57,27 +60,22 @@ type job = {
   j_lo : int;  (** global test/trial range [j_lo, j_hi) *)
   j_hi : int;
   j_ctx : (string * string) option;
-      (** v3: [(trace_id, dispatch_span_id)] — the worker parents its
-          shard span under the supervisor's dispatch span.  [None] on
-          connections below v3 or when tracing is off *)
+      (** [(trace_id, dispatch_span_id)] — the worker parents its
+          shard span under the supervisor's dispatch span.  [None]
+          when tracing is off *)
   j_stream : bool;
-      (** v3: ask the worker to follow Shard_done / Pong with a
-          {!Telemetry} delta-snapshot.  Never set below v3 *)
+      (** ask the worker to follow Shard_done / Pong with a
+          {!Telemetry} delta-snapshot *)
 }
-
-val plain_job : shard:int -> lo:int -> hi:int -> job
-(** A job with no observability fields set — what a v1/v2 supervisor
-    would have sent. *)
 
 type request =
   | Hello of { proto : int; git_rev : string }
-      (** mandatory first request of every connection; [proto] is the
-          highest version the supervisor speaks *)
+      (** mandatory first request of every connection; [proto] must
+          be {!version}, [git_rev] is informational *)
   | Set_spec of campaign  (** the campaign; must precede any {!Run} *)
   | Run of job
   | Ping of int
-      (** v2 liveness probe; the worker echoes the token in {!Pong}.
-          Sent only on connections negotiated at ≥ 2 *)
+      (** liveness probe; the worker echoes the token in {!Pong} *)
   | Worker_stats_req
   | Shutdown  (** ask the worker to drain and exit *)
 
@@ -96,7 +94,6 @@ type shard_result = {
 type worker_stats = {
   ws_pid : int;
   ws_jobs : int;
-  ws_proto : int;  (** highest version the worker speaks *)
   ws_shards_run : int;
   ws_pings : int;  (** pings answered *)
   ws_uptime_s : float;
@@ -111,7 +108,7 @@ type telemetry_update = {
 
 type response =
   | Hello_ok of { proto : int; git_rev : string; pid : int }
-      (** [proto] is the negotiated version: min(worker's, peer's) *)
+      (** [proto] is the worker's {!version} *)
   | Spec_ok
   | Pong of int
   | Shard_done of shard_result
@@ -120,7 +117,7 @@ type response =
           supervisor re-dispatches *)
   | Worker_stats of worker_stats
   | Telemetry of telemetry_update
-      (** v3: unsolicited delta-snapshot, sent after Shard_done/Pong
+      (** unsolicited delta-snapshot, sent after Shard_done/Pong
           when the campaign streams.  Observability-only — the
           supervisor folds it into live aggregates and it never
           touches the result path *)
@@ -129,26 +126,23 @@ type response =
       (** typed error frame; the worker closes the connection after
           sending one *)
 
-(** {1 Payload envelopes} *)
+(** {1 Framed I/O}
 
-val encode_payload : proto:int -> 'a -> string
-(** At [proto >= 2]: MD5-of-marshal prefix + marshal, so any payload
-    corruption is {e guaranteed} to decode as [None] rather than
-    silently yielding a plausible wrong value.  At v1: bare marshal. *)
-
-val decode_payload : proto:int -> string -> 'a option
-
-(** {1 Framed I/O} *)
+    {!Ise_pool.Codec.send}/{!Ise_pool.Codec.recv} at {!version}. *)
 
 val write_request : ?proto:int -> Unix.file_descr -> request -> unit
-val write_response : ?proto:int -> Unix.file_descr -> response -> unit
-(** [proto] defaults to {!version}; pass the connection's negotiated
-    version after a handshake. *)
+(** [proto] (default {!version}) is the frame's protocol byte.  The
+    argument is kept only so the benchmark under [perfbench/], which
+    passes {!hello_proto}, still compiles; every in-tree caller uses
+    the default. *)
+
+val write_response : Unix.file_descr -> response -> unit
 
 val read_response :
   ?max_payload:int -> Unix.file_descr -> (response, string) result
-(** Blocking read of one response frame; the frame's own protocol byte
-    selects the payload envelope. *)
+(** Blocking read of one response frame; [Error] describes EOF, a
+    protocol-byte mismatch, or a frame or payload that does not
+    decode. *)
 
 (** {1 Shard cache keys} *)
 

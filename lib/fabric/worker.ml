@@ -7,7 +7,6 @@ module Json = Ise_telemetry.Json
 type config = {
   socket_path : string;
   jobs : int;
-  proto : int;
   max_payload : int;
   trace_out : string option;
   log : string -> unit;
@@ -16,7 +15,6 @@ type config = {
 let default_config ~socket_path = {
   socket_path;
   jobs = 1;
-  proto = Wire.version;
   max_payload = 64 * 1024 * 1024;
   trace_out = None;
   log = ignore;
@@ -90,7 +88,7 @@ type t = {
   pool_sink : Ise_telemetry.Sink.t;
       (* shares [registry]; its trace is a throwaway — pool spans use
          relative timestamps and would pollute the stitched timeline *)
-  mutable stream : bool;  (* a v3 supervisor asked for Telemetry frames *)
+  mutable stream : bool;  (* the supervisor asked for Telemetry frames *)
   mutable tele_seq : int;
   mutable campaign : Wire.campaign option;
   mutable shards_run : int;
@@ -133,18 +131,14 @@ let install_signal_handlers t = Framed.install_signal_handlers t.framed
 let stats t = {
   Wire.ws_pid = Unix.getpid ();
   ws_jobs = t.cfg.jobs;
-  ws_proto = t.cfg.proto;
   ws_shards_run = t.shards_run;
   ws_pings = t.pings;
   ws_uptime_s = Unix.gettimeofday () -. t.started;
 }
 
-let send_at t conn ~proto resp =
-  try Wire.write_response ~proto (Framed.fd conn) resp
+let send t conn resp =
+  try Wire.write_response (Framed.fd conn) resp
   with Unix.Unix_error _ | Sys_error _ -> Framed.close_conn t.framed conn
-
-(* responses travel at the connection's negotiated version *)
-let send t conn resp = send_at t conn ~proto:(Framed.proto conn) resp
 
 let now_us () = int_of_float (Unix.gettimeofday () *. 1e6)
 
@@ -175,7 +169,7 @@ let flush_trace t =
    previous drain.  Observability-only — losing one (dead supervisor,
    faulted wire) loses a little visibility, never a result. *)
 let send_telemetry t conn =
-  if t.stream && Framed.proto conn >= 3 then begin
+  if t.stream then begin
     let d = Registry.drain t.registry in
     if d <> [] then begin
       t.tele_seq <- t.tele_seq + 1;
@@ -189,9 +183,7 @@ let send_error t conn kind msg =
   t.errors <- t.errors + 1;
   t.cfg.log (Printf.sprintf "error to supervisor: %s (%s)"
                (Framed.err_name kind) msg);
-  (try
-     Wire.write_response ~proto:(Framed.proto conn) (Framed.fd conn)
-       (Wire.Error (kind, msg))
+  (try Wire.write_response (Framed.fd conn) (Wire.Error (kind, msg))
    with Unix.Unix_error _ | Sys_error _ -> ());
   Framed.close_conn t.framed conn
 
@@ -286,22 +278,17 @@ let run_shard t campaign (j : Wire.job) =
 
 let handle_request t conn (req : Wire.request) =
   match req with
-  | Wire.Hello { proto = peer; git_rev = _ } ->
-    let negotiated = min t.cfg.proto peer in
-    if negotiated < Wire.min_version then
+  | Wire.Hello { proto; git_rev = _ } ->
+    if proto <> Wire.version then
       send_error t conn Framed.Unsupported_proto
-        (Printf.sprintf
-           "worker speaks fabric protocol v%d..v%d, peer sent v%d"
-           Wire.min_version t.cfg.proto peer)
+        (Printf.sprintf "worker speaks fabric protocol v%d, peer sent v%d"
+           Wire.version proto)
     else begin
       Framed.mark_hello conn;
-      (* Hello_ok itself travels at the pre-negotiation framing; every
-         frame after it at the agreed version *)
-      send_at t conn ~proto:Wire.hello_proto
+      send t conn
         (Wire.Hello_ok
-           { proto = negotiated; git_rev = Ise_obs.Runinfo.git_rev ();
-             pid = Unix.getpid () });
-      Framed.set_proto conn negotiated
+           { proto = Wire.version; git_rev = Ise_obs.Runinfo.git_rev ();
+             pid = Unix.getpid () })
     end
   | _ when not (Framed.hello_done conn) ->
     send_error t conn Framed.Bad_request "first request must be Hello"
@@ -333,16 +320,11 @@ let handle_request t conn (req : Wire.request) =
       send t conn Wire.Spec_ok
     | Error msg -> send_error t conn Framed.Bad_request msg)
   | Wire.Ping token ->
-    if Framed.proto conn >= 2 then begin
-      t.pings <- t.pings + 1;
-      Registry.incr (Registry.counter t.registry "fabric/worker/pings");
-      send t conn (Wire.Pong token);
-      (* an idle streaming worker piggybacks its deltas on heartbeats *)
-      send_telemetry t conn
-    end
-    else
-      send_error t conn Framed.Bad_request
-        "Ping requires a connection negotiated at protocol v2"
+    t.pings <- t.pings + 1;
+    Registry.incr (Registry.counter t.registry "fabric/worker/pings");
+    send t conn (Wire.Pong token);
+    (* an idle streaming worker piggybacks its deltas on heartbeats *)
+    send_telemetry t conn
   | Wire.Run j -> (
     match t.campaign with
     | None ->
@@ -358,7 +340,7 @@ let handle_request t conn (req : Wire.request) =
         t.cfg.log
           (Printf.sprintf "shard %d: units [%d, %d)" j.Wire.j_shard
              j.Wire.j_lo j.Wire.j_hi);
-        if j.Wire.j_stream && Framed.proto conn >= 3 then t.stream <- true;
+        if j.Wire.j_stream then t.stream <- true;
         match run_shard t campaign j with
         | resp ->
           send t conn resp;
@@ -374,22 +356,10 @@ let handle_request t conn (req : Wire.request) =
 
 let serve_forever t =
   t.cfg.log (Printf.sprintf "fabric worker on %s (pid %d, jobs %d, proto v%d)"
-               t.cfg.socket_path (Unix.getpid ()) t.cfg.jobs t.cfg.proto);
-  Framed.serve t.framed ~proto:t.cfg.proto ~min_proto:Wire.min_version
-    ~max_payload:t.cfg.max_payload
+               t.cfg.socket_path (Unix.getpid ()) t.cfg.jobs Wire.version);
+  Framed.serve t.framed ~proto:Wire.version ~max_payload:t.cfg.max_payload
     ~error:(fun conn kind msg -> send_error t conn kind msg)
-    ~request:(fun conn payload ->
-      (* the frame's own protocol byte selects the payload envelope —
-         a v1 supervisor's bare marshal and a v2 supervisor's sealed
-         payload are both understood *)
-      match
-        (Wire.decode_payload ~proto:(Framed.frame_proto conn) payload
-          : Wire.request option)
-      with
-      | Some req -> handle_request t conn req
-      | None ->
-        send_error t conn Framed.Malformed_frame
-          "request payload does not decode")
+    ~request:(fun conn (req : Wire.request) -> handle_request t conn req)
     ~on_drained:(fun () ->
       Option.iter Ise_pool.Pool.close t.pool;
       flush_trace t;

@@ -1,45 +1,41 @@
-(** Versioned, length-prefixed message framing for pipe and socket IPC.
+(** Length-prefixed frames and sealed payloads for pipe and socket IPC.
 
     Every message exchanged between the pool supervisor and its forked
-    workers — and between the {!Ise_serve} daemon and its clients — is
-    one {e frame}: a fixed header — 4 magic bytes (["ISEP"]), 1
-    frame-format version byte, 1 protocol byte (v2), 4 big-endian
-    payload-length bytes — followed by the payload.  The header makes
-    stream desynchronisation (a worker writing garbage, a partial
-    write cut off by a kill) detectable instead of silently corrupting
-    the next message; the format version byte lets the framing layout
-    evolve without ambiguity, and the protocol byte carries the {e
-    application} protocol version so endpoints can negotiate before
-    interpreting payloads.
+    workers, between the {!Ise_serve} daemon and its clients, and
+    between a fabric supervisor and its workers is one {e frame}: a
+    fixed 10-byte header — 4 magic bytes (["ISEP"]), 1 frame-format
+    version byte, 1 protocol byte, 4 big-endian payload-length bytes —
+    followed by the payload.  The header makes stream
+    desynchronisation (a worker writing garbage, a partial write cut
+    off by a kill) detectable instead of silently corrupting the next
+    message.
 
-    Compatibility rules:
+    There is one frame layout ({!version}) and each endpoint speaks
+    exactly one application protocol, carried in the protocol byte:
+    the pool uses 0, [ise fabric] 3 and [ise serve] 4.  The bytes
+    must stay distinct: [Marshal] payloads carry no type, so the
+    protocol byte is what stops one endpoint's frame being
+    unmarshalled as another's message type.  A reader states the protocol it expects and refuses
+    any other byte with [Unsupported_proto] from the header alone —
+    endpoints never negotiate, because every peer is the same
+    executable.
 
-    - this reader accepts frames of every version in
-      [{!min_version}..{!version}] — a v1 frame (9-byte header, no
-      protocol byte) decodes with [proto = 0];
-    - a frame from a {e newer} writer is rejected with
-      [Unsupported_version], never mis-decoded: the version byte is
-      validated before any layout-dependent field is read, so a v1
-      reader facing a v2 frame fails at the version byte instead of
-      parsing the protocol byte as payload length.
-
-    The payload is an opaque string; {!marshal}/{!unmarshal} are the
-    convenience pair the pool uses to move OCaml values through it
-    (safe here because supervisor and workers are the same executable
-    image — workers are forks, never execs). *)
+    Every payload is {e sealed}: the MD5 digest of the value's
+    [Marshal] stream, then the stream ({!seal}).  {!unseal} is the one
+    payload decoder for input from outside the process: it checks the
+    digest, then walks the stream with {!valid_marshal}, and only then
+    unmarshals — so a payload corrupted in transit, or one a hostile
+    peer re-sealed with a correct digest, decodes to [None] and never
+    crashes the runtime.  [Marshal] is safe here only because both
+    ends run the same executable image (pool workers are forks, serve
+    clients and fabric workers the same [ise] binary). *)
 
 val version : int
-(** Current frame-format version (written into every header by
-    default). *)
-
-val min_version : int
-(** Oldest frame-format version this reader still decodes. *)
+(** The frame-format version written into and required of every
+    header (2). *)
 
 val header_bytes : int
-(** Size of the current fixed frame header (10). *)
-
-val header_bytes_v1 : int
-(** Size of the legacy v1 header (9), for compatibility tests. *)
+(** Size of the fixed frame header (10). *)
 
 val default_max_payload : int
 (** Default refusal threshold for claimed payload sizes (64 MiB); a
@@ -51,65 +47,55 @@ val default_max_payload : int
 type error =
   | Bad_magic  (** header does not start with the magic bytes *)
   | Unsupported_version of int
-      (** recognised magic, but a frame-format version outside
-          [min_version..version] — typically a newer writer *)
+      (** recognised magic, but a frame-format version other than
+          {!version} *)
+  | Unsupported_proto of int
+      (** a well-formed header whose protocol byte is not the one the
+          reader speaks *)
   | Oversized of int  (** claimed payload length exceeds the cap *)
   | Truncated  (** stream ended inside a frame *)
+  | Undecodable
+      (** a well-formed frame whose payload failed {!unseal} (never
+          returned by {!decode}, which does not look at payloads) *)
 
 val error_to_string : error -> string
 
-(** {1 Encoding} *)
+(** {1 Frames} *)
 
-val encode : ?proto:int -> ?version:int -> string -> string
-(** [encode payload] is the framed message (header ^ payload).
-    [proto] (default 0, range 0..255) is the application-protocol byte
-    carried by v2 frames.  [version] (default {!version}) selects the
-    header layout for compatibility testing; writing a v1 frame with a
-    non-zero [proto] is an [Invalid_argument]. *)
+val encode : ?proto:int -> string -> string
+(** [encode payload] is the framed message (header ^ payload) with
+    protocol byte [proto] (default 0, range 0..255).  The payload is
+    taken as is; {!send} is the sealed-value writer. *)
 
-(** {1 Streaming decode}
-
-    For the supervisor's non-blocking reads: bytes accumulate in a
-    buffer and frames are peeled off the front as they complete. *)
+(** For the non-blocking readers (the pool supervisor, the serve and
+    fabric select loops): bytes accumulate in a buffer and frames are
+    peeled off the front as they complete. *)
 
 type decoded =
-  | Frame of { payload : string; proto : int; consumed : int }
-      (** payload, application-protocol byte (0 for v1 frames), and
-          total bytes consumed (header + payload) *)
+  | Frame of { payload : string; consumed : int }
+      (** the raw payload and the total bytes consumed (header +
+          payload) *)
   | Need_more  (** a valid prefix, but the frame is incomplete *)
   | Corrupt of error
 
-val decode : ?max_payload:int -> bytes -> pos:int -> len:int -> decoded
-(** Examine [len] bytes starting at [pos].  Never raises; never
-    consumes anything on [Need_more] or [Corrupt]. *)
+val decode :
+  ?max_payload:int -> ?proto:int -> bytes -> pos:int -> len:int -> decoded
+(** Examine [len] bytes starting at [pos] as a frame whose protocol
+    byte must be [proto] (default 0).  Never raises; never consumes
+    anything on [Need_more] or [Corrupt]. *)
 
-(** {1 Blocking file-descriptor helpers}
+(** {1 Sealed payloads} *)
 
-    Used by workers and by serve clients, whose lives are simple: read
-    one frame, compute, write one frame. *)
+val seal : 'a -> string
+(** MD5 digest of [Marshal.to_string v []], then that stream. *)
 
-val write_frame : ?proto:int -> Unix.file_descr -> string -> unit
-(** Writes the whole framed message, looping over partial writes.
-    Raises [Unix.Unix_error] (e.g. [EPIPE]) if the peer is gone. *)
-
-val read_frame :
-  ?max_payload:int -> Unix.file_descr -> (string, [ `Eof | `Corrupt of error ]) result
-(** Blocking read of exactly one frame, discarding the protocol byte.
-    [`Eof] only on a clean end-of-stream at a frame boundary; an EOF
-    mid-frame is [`Corrupt Truncated]. *)
-
-val read_frame_ext :
-  ?max_payload:int ->
-  Unix.file_descr ->
-  (int * string, [ `Eof | `Corrupt of error ]) result
-(** Like {!read_frame} but returns [(proto, payload)]. *)
-
-(** {1 Marshal convenience} *)
-
-val marshal : 'a -> string
-val unmarshal : string -> 'a
-(** [unmarshal] trusts the payload — only use on frames produced by
-    [marshal] in the same executable image. *)
+val unseal : string -> 'a option
+(** The inverse of {!seal}, total on arbitrary bytes: [None] unless
+    the digest matches {e and} the stream passes {!valid_marshal}.
+    The digest makes in-transit corruption certain to surface;
+    validation makes a deliberately re-sealed corrupt stream harmless.
+    The caller's type annotation picks ['a] — as with [Marshal], it
+    must be the type the writer sealed. *)
 
 val valid_marshal : string -> bool
 (** Structural validation of a marshal stream without decoding it.
@@ -121,8 +107,27 @@ val valid_marshal : string -> bool
     codec never produces, e.g. closures or custom blocks). *)
 
 val unmarshal_opt : string -> 'a option
-(** Crash-safe [unmarshal] for untrusted bytes: [None] unless the
-    stream passes {!valid_marshal} and decodes cleanly.  Structural
-    validity is not integrity — a corrupted stream can still decode to
-    a wrong value of the right shape; layer a checksum on top when that
-    matters (the fabric wire seals v2 payloads with an MD5 digest). *)
+(** [Marshal.from_string] behind {!valid_marshal}, for bare (unsealed)
+    marshal streams — the result store's payloads, which carry their
+    own checksum.  Structural validity is not integrity: a corrupted
+    stream can still decode to a wrong value of the right shape. *)
+
+(** {1 Blocking file-descriptor I/O}
+
+    Used by pool workers, serve clients and the fabric handshake, whose
+    lives are simple: read one message, compute, write one message. *)
+
+val send : ?proto:int -> Unix.file_descr -> 'a -> unit
+(** Writes [v] as one frame with a sealed payload, looping over
+    partial writes.  Raises [Unix.Unix_error] (e.g. [EPIPE]) if the
+    peer is gone. *)
+
+val recv :
+  ?max_payload:int ->
+  ?proto:int ->
+  Unix.file_descr ->
+  ('a, [ `Eof | `Corrupt of error ]) result
+(** Blocking read of exactly one frame at protocol [proto] (default
+    0), then {!unseal}.  [`Eof] only on a clean end-of-stream at a
+    frame boundary; an EOF mid-frame is [`Corrupt Truncated], a payload
+    that does not unseal [`Corrupt Undecodable]. *)

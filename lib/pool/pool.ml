@@ -210,15 +210,14 @@ type ('a, 'r) t = {
    detected by the supervisor as EOF.  SIGINT is ignored so a
    terminal's Ctrl-C (delivered to the whole foreground process group)
    leaves the drain decision to the supervisor.  Between batches a
-   persistent worker simply blocks in [read_frame]. *)
+   persistent worker simply blocks in [Codec.recv]. *)
 let worker_loop req resp f =
   Sys.set_signal Sys.sigint Sys.Signal_ignore;
   let rec loop () =
-    match Codec.read_frame req with
+    match Codec.recv req with
     | Error `Eof -> Unix._exit 0
     | Error (`Corrupt _) -> Unix._exit 102
-    | Ok payload ->
-      let idx, job = Codec.unmarshal payload in
+    | Ok (idx, job) ->
       (* no-ops unless the supervisor enabled a journal for this child *)
       Ise_obs.Recorder.note "pool/job"
         ~args:[ ("idx", Ise_telemetry.Json.Int idx) ];
@@ -229,7 +228,7 @@ let worker_loop req resp f =
       in
       Ise_obs.Recorder.note "pool/job-end"
         ~args:[ ("idx", Ise_telemetry.Json.Int idx) ];
-      (try Codec.write_frame resp (Codec.marshal (idx, res))
+      (try Codec.send resp (idx, res)
        with _ -> Unix._exit 103);
       loop ()
   in
@@ -516,12 +515,11 @@ let run_forked ~persist ~telemetry ~on_result ~bisect p items =
     incr dispatched;
     count (fun t -> t.c_dispatched) tele;
     span_begin tele ~slot:w.w_slot idx;
-    try Codec.write_frame w.w_req (Codec.marshal (idx, item_of idx))
+    try Codec.send w.w_req (idx, item_of idx)
     with Unix.Unix_error ((Unix.EPIPE | Unix.EBADF), _, _) ->
       handle_death w ~now "dispatch write failed"
   in
-  let handle_result w ~now payload =
-    let idx, res = Codec.unmarshal payload in
+  let handle_result w ~now (idx, res) =
     (match w.w_job with
      | Some r when r.r_idx = idx ->
        w.w_job <- None;
@@ -549,9 +547,13 @@ let run_forked ~persist ~telemetry ~on_result ~bisect p items =
       let parsing = ref true in
       while !parsing do
         match Codec.decode bytes ~pos:!pos ~len:(total - !pos) with
-        | Codec.Frame { payload = frame; consumed = used; _ } ->
-          handle_result w ~now frame;
-          pos := !pos + used
+        | Codec.Frame { payload; consumed } -> (
+          pos := !pos + consumed;
+          match Codec.unseal payload with
+          | Some result -> handle_result w ~now result
+          | None ->
+            corrupt := Some Codec.Undecodable;
+            parsing := false)
         | Codec.Need_more -> parsing := false
         | Codec.Corrupt e ->
           corrupt := Some e;

@@ -8,7 +8,7 @@ let rpc t req =
   | exception Unix.Unix_error (e, _, _) ->
     Error ("cannot reach daemon: " ^ Unix.error_message e)
 
-let connect ?(proto = Proto.version) ?(retries = 0) path =
+let connect ?(retries = 0) path =
   let rec attempt n =
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     Unix.set_close_on_exec fd;
@@ -30,7 +30,9 @@ let connect ?(proto = Proto.version) ?(retries = 0) path =
   | Error _ as e -> e
   | Ok t -> (
     match
-      rpc t (Proto.Hello { proto; git_rev = Ise_obs.Runinfo.git_rev () })
+      rpc t
+        (Proto.Hello
+           { proto = Proto.version; git_rev = Ise_obs.Runinfo.git_rev () })
     with
     | Ok (Proto.Hello_ok _) -> Ok t
     | Ok (Proto.Error (kind, msg)) ->

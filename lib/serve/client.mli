@@ -1,13 +1,11 @@
-(** Client side of the serve protocol: connect, Hello-negotiate, and
-    issue synchronous requests. *)
+(** Client side of the serve protocol: connect, Hello, and issue
+    synchronous requests. *)
 
 type t
 
-val connect :
-  ?proto:int -> ?retries:int -> string -> (t, string) result
+val connect : ?retries:int -> string -> (t, string) result
 (** Connect to the daemon's Unix socket at the given path and perform
-    the mandatory Hello exchange.  [proto] (default {!Proto.version})
-    exists so tests can present an unsupported version; [retries]
+    the mandatory Hello exchange at {!Proto.version}.  [retries]
     (default 0) re-attempts the [connect] with 100 ms backoff while
     the daemon is still starting up.  On [Error] the descriptor is
     closed. *)

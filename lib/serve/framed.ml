@@ -20,17 +20,12 @@ type conn = {
   mutable len : int;  (* valid bytes at the front of [buf] *)
   mutable hello_done : bool;
   mutable closed : bool;
-  mutable c_proto : int;  (* negotiated protocol for this connection *)
-  mutable c_frame_proto : int;  (* protocol byte of the frame in [request] *)
 }
 
 let fd c = c.c_fd
 let closed c = c.closed
 let hello_done c = c.hello_done
 let mark_hello c = c.hello_done <- true
-let proto c = c.c_proto
-let set_proto c p = c.c_proto <- p
-let frame_proto c = c.c_frame_proto
 
 type t = {
   socket_path : string;
@@ -88,10 +83,10 @@ let close_conn t conn =
 (* Peel complete frames off the connection buffer; stop on Need_more,
    hand anything corrupt to [error] as a typed kind (the callback sends
    the error frame and closes the connection). *)
-let drain_frames conn ~proto ~min_proto ~max_payload ~error ~request =
+let drain_frames conn ~proto ~max_payload ~error ~request =
   let continue = ref true in
   while !continue && not conn.closed do
-    match Codec.decode ~max_payload conn.buf ~pos:0 ~len:conn.len with
+    match Codec.decode ~max_payload ~proto conn.buf ~pos:0 ~len:conn.len with
     | Codec.Need_more -> continue := false
     | Codec.Corrupt (Codec.Oversized n) ->
       error conn Frame_too_large
@@ -100,24 +95,23 @@ let drain_frames conn ~proto ~min_proto ~max_payload ~error ~request =
     | Codec.Corrupt (Codec.Unsupported_version v) ->
       error conn Unsupported_proto
         (Printf.sprintf "unsupported frame version %d" v)
+    | Codec.Corrupt (Codec.Unsupported_proto p) ->
+      error conn Unsupported_proto
+        (Printf.sprintf "frame protocol byte %d, daemon speaks v%d" p proto)
     | Codec.Corrupt e ->
       error conn Malformed_frame (Codec.error_to_string e)
-    | Codec.Frame { payload; proto = got; consumed } ->
+    | Codec.Frame { payload; consumed } -> (
       Bytes.blit conn.buf consumed conn.buf 0 (conn.len - consumed);
       conn.len <- conn.len - consumed;
-      if got < min_proto || got > proto then
-        error conn Unsupported_proto
-          (Printf.sprintf "frame protocol byte %d, daemon speaks v%d..v%d"
-             got min_proto proto)
-      else begin
-        conn.c_frame_proto <- got;
-        request conn payload
-      end
+      match Codec.unseal payload with
+      | Some req -> request conn req
+      | None ->
+        error conn Malformed_frame "request payload does not decode")
   done
 
 let read_chunk = Bytes.create 65536
 
-let handle_readable t conn ~proto ~min_proto ~max_payload ~error ~request =
+let handle_readable t conn ~proto ~max_payload ~error ~request =
   match Unix.read conn.c_fd read_chunk 0 (Bytes.length read_chunk) with
   | 0 -> close_conn t conn (* clean EOF *)
   | n ->
@@ -129,25 +123,24 @@ let handle_readable t conn ~proto ~min_proto ~max_payload ~error ~request =
     end;
     Bytes.blit read_chunk 0 conn.buf conn.len n;
     conn.len <- conn.len + n;
-    drain_frames conn ~proto ~min_proto ~max_payload ~error ~request
+    drain_frames conn ~proto ~max_payload ~error ~request
   | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
     close_conn t conn
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
 
-let accept t ~proto =
+let accept t =
   match Unix.accept t.listen_fd with
   | fd, _ ->
     Unix.set_close_on_exec fd;
     t.connections <- t.connections + 1;
     t.conns <-
       { c_fd = fd; buf = Bytes.create 4096; len = 0; hello_done = false;
-        closed = false; c_proto = proto; c_frame_proto = proto }
+        closed = false }
       :: t.conns
   | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
 
-let serve ?min_proto ?(tick = fun () -> ()) t ~proto ~max_payload ~error
-    ~request ~on_drained =
-  let min_proto = match min_proto with Some p -> p | None -> proto in
+let serve ?(tick = fun () -> ()) t ~proto ~max_payload ~error ~request
+    ~on_drained =
   while not t.draining do
     let fds = t.listen_fd :: List.map (fun c -> c.c_fd) t.conns in
     (match Unix.select fds [] [] 1.0 with
@@ -155,12 +148,11 @@ let serve ?min_proto ?(tick = fun () -> ()) t ~proto ~max_payload ~error
        List.iter
          (fun fd ->
            if t.draining then ()
-           else if fd = t.listen_fd then accept t ~proto
+           else if fd = t.listen_fd then accept t
            else
              match List.find_opt (fun c -> c.c_fd = fd) t.conns with
              | Some conn ->
-               handle_readable t conn ~proto ~min_proto ~max_payload ~error
-                 ~request
+               handle_readable t conn ~proto ~max_payload ~error ~request
              | None -> ())
          readable
      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ());

@@ -1,18 +1,22 @@
 (** The serve wire protocol: request/response payloads and cache keys.
 
-    Frames are {!Ise_pool.Codec} v2 frames whose protocol byte carries
-    {!version}; payloads are [Marshal]ed values of the types below —
-    safe for the same reason the pool's pipes are: daemon and client
-    are the same [ise] executable image.  Two guards keep that
-    assumption honest:
+    Frames are {!Ise_pool.Codec} frames whose protocol byte carries
+    {!version}; payloads are values of the types below, sealed by
+    {!Ise_pool.Codec.seal} — [Marshal] plus an MD5 digest, safe for
+    the same reason the pool's pipes are: daemon and client are the
+    same [ise] executable image.  Three guards keep that assumption
+    honest:
 
-    - the Codec protocol byte is checked on {e every} frame before the
-      payload is unmarshalled, so a frame from an incompatible peer is
-      answered with a typed {!err_kind} frame, never mis-decoded;
+    - the Codec protocol byte must equal {!version} on {e every}
+      frame, so a frame from another build is answered with a typed
+      [Unsupported_proto] frame, never mis-decoded;
+    - every payload goes through {!Ise_pool.Codec.unseal} (digest,
+      then structural marshal validation, then unmarshal), so a
+      corrupt one is a typed [Malformed_frame], never a crash;
     - the first request on a connection must be {!Hello}, carrying the
-      client's protocol version and git revision; the daemon rejects a
-      version mismatch with [Unsupported_proto] before any payload of
-      a newer shape could reach [Marshal].
+      client's protocol version and git revision; the daemon answers
+      any version other than its own with [Unsupported_proto].  There
+      is no negotiation.  The git revision is informational only.
 
     Cache keys pair {!Ise_litmus.Lit_test.fingerprint} (what program)
     with a configuration fingerprint (how it was run): machine
@@ -29,8 +33,12 @@
 open Ise_litmus
 
 val version : int
-(** Application-protocol version, carried in the Codec protocol byte
-    and in {!Hello}. *)
+(** The one application-protocol version (4), carried in the Codec
+    protocol byte and in {!Hello}.  It differs from
+    [Ise_fabric.Wire.version] and from the pool's 0, so a fabric
+    frame sent to the daemon (or a serve frame sent to a fabric
+    worker) is refused from its header with [Unsupported_proto] and
+    never unmarshalled as the wrong message type. *)
 
 val store_abi : int
 (** Result-store compatibility epoch (see above for the bump rule). *)
@@ -72,8 +80,9 @@ type litmus_payload = { lp_line : string; lp_pass : bool }
 
 val litmus_payload_to_string : litmus_payload -> string
 val litmus_payload_of_string : string -> litmus_payload option
-(** [None] if the payload does not decode (defence in depth — the
-    store checksum already rejects torn entries). *)
+(** Bare [Marshal] (the store checksums its entries itself); [None] if
+    the payload fails {!Ise_pool.Codec.unmarshal_opt} — defence in
+    depth, the store checksum already rejects torn entries. *)
 
 val replay_payload_to_string : (unit, string) result -> string
 val replay_payload_of_string : string -> (unit, string) result option
@@ -87,7 +96,7 @@ type request =
   | Fuzz_replay of { entry : Ise_fuzz.Corpus.entry; seeds : int }
   | Stats_req
   | Metrics_req
-      (** v2: ask for a Prometheus text-format dump of the daemon's
+      (** ask for a Prometheus text-format dump of the daemon's
           metrics — the scrapable face of {!server_stats} *)
   | Shutdown  (** ask the daemon to drain and exit *)
 
@@ -136,7 +145,7 @@ type response =
   | Replay_done of { result : (unit, string) result; cached : bool }
   | Stats of server_stats
   | Metrics of string
-      (** v2: Prometheus text exposition
+      (** Prometheus text exposition
           ({!Ise_telemetry.Registry.to_prometheus}) of the daemon's
           counters and store view *)
   | Shutting_down
@@ -153,5 +162,7 @@ val read_response :
   ?max_payload:int ->
   Unix.file_descr ->
   (response, string) result
-(** Blocking read of one response frame; [Error] describes EOF,
-    corruption, or a protocol-byte mismatch. *)
+(** Blocking read of one response frame; [Error] describes EOF, a
+    protocol-byte mismatch, or a frame or payload that does not
+    decode.  The three functions are {!Ise_pool.Codec.send}/
+    {!Ise_pool.Codec.recv} at {!version}. *)

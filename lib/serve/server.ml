@@ -290,12 +290,7 @@ let serve_forever t =
                (Unix.getpid ()));
   Framed.serve t.framed ~proto:Proto.version ~max_payload:t.cfg.max_payload
     ~error:(fun conn kind msg -> send_error t conn kind msg)
-    ~request:(fun conn payload ->
-      match (Ise_pool.Codec.unmarshal payload : Proto.request) with
-      | req -> handle_request t conn req
-      | exception _ ->
-        send_error t conn Proto.Malformed_frame
-          "request payload does not decode")
+    ~request:(fun conn (req : Proto.request) -> handle_request t conn req)
     ~on_drained:(fun () ->
       (match t.pool with
        | Some p ->

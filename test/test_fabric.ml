@@ -2,7 +2,8 @@
    --shard range-union property, worker protocol discipline under
    malformed and hostile traffic, the resilience plane (netchaos
    wire-fault injection, heartbeats, rejoin, stale-socket hygiene,
-   v1 compatibility), chaos campaigns over the fabric, and the
+   strict one-version handshakes), chaos campaigns over the fabric,
+   and the
    headline guarantee — a campaign run across simulated workers
    (killed, restarted, proxied through deterministic wire faults, or
    answered entirely by the result store) merges to output
@@ -52,6 +53,10 @@ let fingerprint ~seed (r : Campaign.report) =
       r.Campaign.r_failures )
 
 (* short everything: tests poke at loss, not patience *)
+let job ~shard ~lo ~hi =
+  { Wire.j_shard = shard; j_lo = lo; j_hi = hi; j_ctx = None;
+    j_stream = false }
+
 let test_liveness =
   { Supervisor.default_liveness with
     handshake_timeout_s = 2.0;
@@ -213,84 +218,75 @@ let test_netchaos_deterministic () =
       | None -> Alcotest.failf "profile %s not named" p.Netchaos.name)
     (Netchaos.calm :: Netchaos.all)
 
+let decode_request m =
+  match
+    Codec.decode ~max_payload:(1 lsl 20) ~proto:Wire.version
+      (Bytes.of_string m) ~pos:0 ~len:(String.length m)
+  with
+  | Codec.Frame { payload; _ } -> Some (Codec.unseal payload : Wire.request option)
+  | Codec.Need_more | Codec.Corrupt _ -> None
+
 let test_wire_hostility_decode () =
   let base =
     Codec.encode ~proto:Wire.version
-      (Wire.encode_payload ~proto:Wire.version
-         (Wire.Run (Wire.plain_job ~shard:1 ~lo:2 ~hi:9)))
+      (Codec.seal (Wire.Run (job ~shard:1 ~lo:2 ~hi:9)))
   in
   (* any mutation — truncation, bit flips, version/proto skew, absurd
      length claims — must yield a typed decode result, never an
      exception *)
   for seed = 0 to 499 do
     let rng = Ise_util.Rng.create seed in
-    let m = Netchaos.Mutate.mutate rng base in
-    let buf = Bytes.of_string m in
-    match Codec.decode ~max_payload:(1 lsl 20) buf ~pos:0 ~len:(Bytes.length buf) with
-    | Codec.Need_more | Codec.Corrupt _ -> ()
-    | Codec.Frame { payload; proto; _ } -> (
-      match (Wire.decode_payload ~proto payload : Wire.request option) with
-      | Some _ | None -> ())
+    match decode_request (Netchaos.Mutate.mutate rng base) with
+    | Some _ | None -> ()
     | exception e ->
       Alcotest.failf "decode raised on mutation seed %d: %s" seed
         (Printexc.to_string e)
   done;
-  (* the v2 digest envelope *guarantees* payload corruption surfaces
-     as a typed decode failure, never a plausible wrong value *)
+  (* the digest *guarantees* in-transit payload corruption surfaces as
+     a typed decode failure, never a plausible wrong value *)
   for seed = 0 to 199 do
     let rng = Ise_util.Rng.create (1000 + seed) in
-    let m = Netchaos.Mutate.corrupt_payload rng ~max_bytes:4 base in
-    match
-      Codec.decode ~max_payload:(1 lsl 20) (Bytes.of_string m) ~pos:0
-        ~len:(String.length m)
+    match decode_request (Netchaos.Mutate.corrupt_payload rng ~max_bytes:4 base)
     with
-    | Codec.Frame { payload; proto; _ } -> (
-      match (Wire.decode_payload ~proto payload : Wire.request option) with
-      | None -> ()
-      | Some _ -> Alcotest.failf "corrupted payload decoded (seed %d)" seed)
-    | Codec.Need_more | Codec.Corrupt _ ->
-      Alcotest.fail "corrupt_payload damaged the framing"
+    | Some None -> ()
+    | Some (Some _) -> Alcotest.failf "corrupted payload decoded (seed %d)" seed
+    | None -> Alcotest.fail "corrupt_payload damaged the framing"
   done;
-  (* v1 payloads have no digest — the structural marshal validator must
-     make decode *total* there too.  A corrupted bare-marshal stream
-     fed straight to [Marshal.from_string] can segfault the runtime's
-     intern loop (e.g. a one-byte flip turning "block of size 1" into
-     "block of size 7" makes it overread), so simply running this loop
-     without crashing is the assertion. *)
-  let v1_bases =
-    [ Codec.marshal (Wire.Hello_ok { proto = 2; git_rev = "cafe"; pid = 42 });
-      Codec.marshal (Wire.Hello { proto = 2; git_rev = "cafe" });
-      Codec.marshal Wire.Spec_ok;
-      Codec.marshal
-        (Wire.Shard_done
-           { sr_shard = 0; sr_lo = 0; sr_hi = 4; sr_payload = Wire.Fuzz_raw [] });
+  (* a peer can re-seal a corrupted stream with a correct digest, so
+     the structural marshal validator must make [unseal] total on its
+     own.  Such a stream fed straight to [Marshal.from_string] can
+     build a wrong value (seed 133 of the Hello base below), raise
+     (155) or segfault the runtime's intern loop (259), so simply
+     running this loop without crashing is the assertion. *)
+  let bases =
+    [ Wire.Hello_ok { proto = Wire.version; git_rev = "cafe"; pid = 42 };
+      Wire.Spec_ok;
+      Wire.Shard_done
+        { sr_shard = 0; sr_lo = 0; sr_hi = 4; sr_payload = Wire.Fuzz_raw [] };
     ]
   in
+  let hello = Marshal.to_string (Wire.Hello { proto = 3; git_rev = "cafe" }) [] in
+  List.iter
+    (fun seed ->
+      let s = Test_serve.scramble ~seed hello in
+      checkb "crashing input is structurally corrupt" false
+        (Codec.valid_marshal s);
+      checkb "crashing input refused" true
+        ((Codec.unseal (Test_serve.reseal s) : Wire.request option) = None))
+    [ 133; 155; 259 ];
   List.iter
     (fun payload ->
-      Alcotest.(check bool)
-        "validator accepts real v1 payload" true
+      checkb "validator accepts a real payload" true
         (Codec.valid_marshal payload);
       for seed = 0 to 499 do
-        let rng = Ise_util.Rng.create (2000 + seed) in
-        let b = Bytes.of_string payload in
-        let n = Bytes.length b in
-        for _ = 0 to Ise_util.Rng.int rng 4 do
-          Bytes.set b (Ise_util.Rng.int rng n)
-            (Char.chr (Ise_util.Rng.int rng 256))
-        done;
-        let s =
-          if Ise_util.Rng.int rng 4 = 0 && n > 1 then
-            Bytes.sub_string b 0 (1 + Ise_util.Rng.int rng (n - 1))
-          else Bytes.to_string b
-        in
-        match (Wire.decode_payload ~proto:1 s : Wire.response option) with
+        let s = Test_serve.reseal (Test_serve.scramble ~seed payload) in
+        match (Codec.unseal s : Wire.response option) with
         | Some _ | None -> ()
         | exception e ->
-          Alcotest.failf "v1 decode raised on corruption seed %d: %s" seed
+          Alcotest.failf "unseal raised on corruption seed %d: %s" seed
             (Printexc.to_string e)
       done)
-    v1_bases
+    (hello :: List.map (fun r -> Marshal.to_string (r : Wire.response) []) bases)
 
 (* ------------------------------------------------------------------ *)
 (* worker protocol discipline                                          *)
@@ -318,16 +314,15 @@ let expect_err fd kind =
   | Error msg -> Alcotest.failf "no error frame: %s" msg
 
 let hello fd =
-  Wire.write_request ~proto:Wire.hello_proto fd
-    (Wire.Hello { proto = Wire.version; git_rev = "test" });
+  Wire.write_request fd (Wire.Hello { proto = Wire.version; git_rev = "test" });
   match Wire.read_response fd with
   | Ok (Wire.Hello_ok _) -> ()
   | Ok _ -> Alcotest.fail "expected Hello_ok"
   | Error msg -> Alcotest.failf "hello failed: %s" msg
 
-let with_sim ?(n = 1) ?jobs ?proto ?netchaos ?trace_dir f =
+let with_sim ?(n = 1) ?jobs ?netchaos ?trace_dir f =
   let dir = tmp_dir () in
-  let sim = Sim.start ?jobs ?proto ?netchaos ?trace_dir ~dir ~n () in
+  let sim = Sim.start ?jobs ?netchaos ?trace_dir ~dir ~n () in
   Fun.protect ~finally:(fun () -> Sim.stop sim) (fun () -> f sim)
 
 let test_worker_hello_discipline () =
@@ -340,26 +335,19 @@ let test_worker_hello_discipline () =
         Wire.write_request fd Wire.Worker_stats_req;
         expect_err fd Framed.Bad_request;
         Unix.close fd;
-        (* a future peer version negotiates down, not away *)
-        let fd = raw_connect socket in
-        Wire.write_request ~proto:Wire.hello_proto fd
-          (Wire.Hello { proto = Wire.version + 1; git_rev = "test" });
-        (match Wire.read_response fd with
-         | Ok (Wire.Hello_ok { proto; _ }) ->
-           checki "negotiated down to ours" Wire.version proto
-         | Ok _ -> Alcotest.fail "expected Hello_ok"
-         | Error msg -> Alcotest.failf "future-version Hello: %s" msg);
-        Unix.close fd;
-        (* a version below min_version is refused by name *)
-        let fd = raw_connect socket in
-        Wire.write_request ~proto:Wire.hello_proto fd
-          (Wire.Hello { proto = 0; git_rev = "test" });
-        expect_err fd Framed.Unsupported_proto;
-        Unix.close fd;
+        (* strict equality, no negotiation: a Hello one version either
+           side of ours is refused by name *)
+        List.iter
+          (fun proto ->
+            let fd = raw_connect socket in
+            Wire.write_request fd (Wire.Hello { proto; git_rev = "test" });
+            expect_err fd Framed.Unsupported_proto;
+            Unix.close fd)
+          [ Wire.version + 1; Wire.version - 1 ];
         (* Run before Set_spec is a Bad_request, not a crash *)
         let fd = raw_connect socket in
         hello fd;
-        Wire.write_request fd (Wire.Run (Wire.plain_job ~shard:0 ~lo:0 ~hi:1));
+        Wire.write_request fd (Wire.Run (job ~shard:0 ~lo:0 ~hi:1));
         expect_err fd Framed.Bad_request;
         Unix.close fd)
 
@@ -377,7 +365,7 @@ let test_worker_malformed_traffic () =
         (* a version-skewed frame (wrong protocol byte) is refused *)
         let fd = raw_connect socket in
         let skewed =
-          Codec.encode ~proto:(Wire.version + 9) (Codec.marshal Wire.Shutdown)
+          Codec.encode ~proto:(Wire.version + 9) (Codec.seal Wire.Shutdown)
         in
         ignore (Unix.write_substring fd skewed 0 (String.length skewed));
         expect_err fd Framed.Unsupported_proto;
@@ -405,8 +393,7 @@ let test_worker_malformed_traffic () =
            connection; the worker survives and serves the next one *)
         let fd = raw_connect socket in
         let frame =
-          Codec.encode ~proto:Wire.version
-            (Codec.marshal Wire.Worker_stats_req)
+          Codec.encode ~proto:Wire.version (Codec.seal Wire.Worker_stats_req)
         in
         ignore (Unix.write_substring fd frame 0 (String.length frame / 2));
         Unix.close fd;
@@ -417,13 +404,13 @@ let test_worker_malformed_traffic () =
         (match Wire.read_response fd with
          | Ok Wire.Spec_ok -> ()
          | Ok _ | Error _ -> Alcotest.fail "Set_spec refused");
-        Wire.write_request fd (Wire.Run (Wire.plain_job ~shard:0 ~lo:0 ~hi:2));
+        Wire.write_request fd (Wire.Run (job ~shard:0 ~lo:0 ~hi:2));
         (match Wire.read_response fd with
          | Ok (Wire.Shard_done sr) ->
            checki "echoes the shard id" 0 sr.Wire.sr_shard
          | Ok _ | Error _ -> Alcotest.fail "worker did not survive abuse");
         (* a Run range outside the spec is a Bad_request *)
-        Wire.write_request fd (Wire.Run (Wire.plain_job ~shard:1 ~lo:0 ~hi:99));
+        Wire.write_request fd (Wire.Run (job ~shard:1 ~lo:0 ~hi:99));
         expect_err fd Framed.Bad_request;
         Unix.close fd)
 
@@ -434,13 +421,10 @@ let test_worker_wire_hostility () =
         let socket = List.hd (Sim.sockets sim) in
         let bases =
           [| Codec.encode ~proto:Wire.version
-               (Wire.encode_payload ~proto:Wire.version
-                  (Wire.Hello { proto = Wire.version; git_rev = "t" }));
+               (Codec.seal (Wire.Hello { proto = Wire.version; git_rev = "t" }));
              Codec.encode ~proto:Wire.version
-               (Wire.encode_payload ~proto:Wire.version
-                  (Wire.Run (Wire.plain_job ~shard:0 ~lo:0 ~hi:1)));
-             Codec.encode ~proto:1
-               (Wire.encode_payload ~proto:1 Wire.Worker_stats_req)
+               (Codec.seal (Wire.Run (job ~shard:0 ~lo:0 ~hi:1)));
+             Codec.encode ~proto:1 (Codec.seal Wire.Worker_stats_req)
           |]
         in
         let rng = Ise_util.Rng.create 99 in
@@ -645,9 +629,11 @@ let test_fabric_rejoin () =
           (fingerprint ~seed:11 merged.Merge.m_report
           = fingerprint ~seed:11 reference))
 
-(* a worker that completes the handshake and then never answers
-   anything again — the heartbeat's prey *)
-let spawn_silent_worker path =
+(* a fake worker that answers the Hello with [Hello_ok] at [proto],
+   then acknowledges the spec and never answers anything again — at
+   [Wire.version] the heartbeat's prey, at any other version a worker
+   from a different build *)
+let spawn_fake_worker ?(proto = Wire.version) path =
   (try Unix.unlink path with Unix.Unix_error _ -> ());
   match Unix.fork () with
   | 0 ->
@@ -655,16 +641,16 @@ let spawn_silent_worker path =
        let srv = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
        Unix.bind srv (Unix.ADDR_UNIX path);
        Unix.listen srv 8;
+       let recv fd = (Codec.recv ~proto:Wire.version fd : (Wire.request, _) result) in
        while true do
          let fd, _ = Unix.accept srv in
          (try
-            (match Codec.read_frame_ext fd with
+            (match recv fd with
              | Ok _ ->
-               Wire.write_response ~proto:Wire.hello_proto fd
+               Wire.write_response fd
                  (Wire.Hello_ok
-                    { proto = Wire.version; git_rev = "silent";
-                      pid = Unix.getpid () });
-               (match Codec.read_frame_ext fd with
+                    { proto; git_rev = "fake"; pid = Unix.getpid () });
+               (match recv fd with
                 | Ok _ -> Wire.write_response fd Wire.Spec_ok
                 | Error _ -> ())
              | Error _ -> ());
@@ -681,6 +667,15 @@ let spawn_silent_worker path =
     Unix._exit 0
   | pid -> pid
 
+let with_fake_worker ?proto f =
+  let path = Filename.concat (tmp_dir ()) "fake.sock" in
+  let pid = spawn_fake_worker ?proto path in
+  Fun.protect
+    ~finally:(fun () ->
+      (try Unix.kill pid Sys.sigkill with Unix.Unix_error _ -> ());
+      try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+    (fun () -> f path)
+
 let test_fabric_heartbeat_loss () =
   if not (requires_fork ()) then ()
   else
@@ -689,16 +684,7 @@ let test_fabric_heartbeat_loss () =
     let spec = Campaign.spec ~count:16 ~seeds_per_test:96 ~seed:21 () in
     let reference = reference_run spec ~log:ignore in
     with_sim ~n:1 (fun sim ->
-        let dir = tmp_dir () in
-        let silent_sock = Filename.concat dir "silent.sock" in
-        let silent_pid = spawn_silent_worker silent_sock in
-        Fun.protect
-          ~finally:(fun () ->
-            (try Unix.kill silent_pid Sys.sigkill
-             with Unix.Unix_error _ -> ());
-            try ignore (Unix.waitpid [] silent_pid)
-            with Unix.Unix_error _ -> ())
-          (fun () ->
+        with_fake_worker (fun silent_sock ->
             let workers = Sim.sockets sim @ [ silent_sock ] in
             let cfg =
               { (Supervisor.default_config ~workers) with
@@ -767,36 +753,124 @@ let test_netchaos_fault_identity () =
                   (pinned merged.Merge.m_report = pinned reference)))
           (Netchaos.calm :: Netchaos.all))
 
-let test_fabric_v1_compat () =
+let test_fabric_version_mismatch () =
   if not (requires_fork ()) then ()
   else
     let spec = Campaign.spec ~count:8 ~seeds_per_test:4 ~seed:13 () in
     let reference = reference_run spec ~log:ignore in
-    with_sim ~n:2 ~proto:1 (fun sim ->
-        (* the v1 worker negotiates the connection down and refuses
-           v2-only requests by name *)
-        let socket = List.hd (Sim.sockets sim) in
-        let fd = raw_connect socket in
-        Wire.write_request ~proto:Wire.hello_proto fd
+    with_sim ~n:2 (fun sim ->
+        with_fake_worker ~proto:(Wire.version + 1) (fun other_build ->
+            let log = ref [] in
+            let cfg =
+              { (Supervisor.default_config
+                   ~workers:(Sim.sockets sim @ [ other_build ])) with
+                Supervisor.log = (fun l -> log := l :: !log);
+              }
+            in
+            let ranges, outcomes, stats =
+              Supervisor.run cfg (Wire.Fuzz spec)
+            in
+            let contains sub l =
+              let n = String.length sub in
+              let rec at i =
+                i + n <= String.length l
+                && (String.sub l i n = sub || at (i + 1))
+              in
+              at 0
+            in
+            checkb "the mismatched handshake was logged as failed" true
+              (List.exists
+                 (fun l -> contains other_build l && contains "handshake failed" l)
+                 !log);
+            checki "only the real workers were admitted" 2
+              stats.Supervisor.f_workers;
+            checki "nothing ran inline" 0 stats.Supervisor.f_inline;
+            let merged = Merge.merge spec ~ranges ~outcomes in
+            checkb "byte-identical to a single-host run" true
+              (fingerprint ~seed:13 merged.Merge.m_report
+              = fingerprint ~seed:13 reference)))
+
+(* Serve and fabric share the frame layout and the sealed envelope, and
+   their Hellos have the same shape, so only the distinct protocol byte
+   keeps one endpoint's frames from being unmarshalled as the other's
+   types.  Each side must refuse the other from the frame header. *)
+let test_serve_fabric_cross_talk () =
+  checkb "pool, fabric and serve protocol bytes are distinct" true
+    (List.length
+       (List.sort_uniq compare [ 0; Wire.version; Ise_serve.Proto.version ])
+    = 3);
+  if not (requires_fork ()) then ()
+  else begin
+    let module Proto = Ise_serve.Proto in
+    (* a fabric supervisor pointed at a serve daemon *)
+    let spec = Campaign.spec ~count:8 ~seeds_per_test:4 ~seed:17 () in
+    let reference = reference_run spec ~log:ignore in
+    Test_serve.with_daemon (fun ~dir:_ ~socket:serve_socket ~pid:_ ->
+        let fd = raw_connect serve_socket in
+        Wire.write_request fd
           (Wire.Hello { proto = Wire.version; git_rev = "test" });
-        (match Wire.read_response fd with
-         | Ok (Wire.Hello_ok { proto; _ }) ->
-           checki "negotiated down to v1" 1 proto
-         | Ok _ -> Alcotest.fail "expected Hello_ok"
-         | Error msg -> Alcotest.failf "hello failed: %s" msg);
-        Wire.write_request ~proto:1 fd (Wire.Ping 7);
-        expect_err fd Framed.Bad_request;
+        (match (Codec.recv ~proto:Wire.version fd : (Wire.response, _) result) with
+         | Error (`Corrupt (Codec.Unsupported_proto p)) ->
+           checki "the reply is refused by its serve protocol byte"
+             Proto.version p
+         | Ok _ -> Alcotest.fail "a serve reply decoded as a fabric response"
+         | Error _ -> Alcotest.fail "expected Unsupported_proto");
         Unix.close fd;
-        (* a v2 supervisor still runs a campaign over a v1 fleet —
-           silently skipping heartbeats on those connections *)
-        let cfg = Supervisor.default_config ~workers:(Sim.sockets sim) in
-        let ranges, outcomes, stats = Supervisor.run cfg (Wire.Fuzz spec) in
-        checki "no pings to v1 workers" 0 stats.Supervisor.f_pings;
-        checki "nothing ran inline" 0 stats.Supervisor.f_inline;
-        let merged = Merge.merge spec ~ranges ~outcomes in
-        checkb "v1 fleet is byte-identical" true
-          (fingerprint ~seed:13 merged.Merge.m_report
-          = fingerprint ~seed:13 reference))
+        let fd = raw_connect serve_socket in
+        Wire.write_request fd
+          (Wire.Hello { proto = Wire.version; git_rev = "test" });
+        Test_serve.expect_err fd Proto.Unsupported_proto;
+        Unix.close fd;
+        with_sim ~n:1 (fun sim ->
+            let log = ref [] in
+            let cfg =
+              { (Supervisor.default_config
+                   ~workers:(Sim.sockets sim @ [ serve_socket ])) with
+                Supervisor.log = (fun l -> log := l :: !log);
+              }
+            in
+            let ranges, outcomes, stats = Supervisor.run cfg (Wire.Fuzz spec) in
+            let contains sub l =
+              let n = String.length sub in
+              let rec at i =
+                i + n <= String.length l
+                && (String.sub l i n = sub || at (i + 1))
+              in
+              at 0
+            in
+            checkb "the serve socket's handshake was logged as failed" true
+              (List.exists
+                 (fun l ->
+                   contains serve_socket l && contains "handshake failed" l)
+                 !log);
+            checki "only the fabric worker was admitted" 1
+              stats.Supervisor.f_workers;
+            let merged = Merge.merge spec ~ranges ~outcomes in
+            checkb "byte-identical to a single-host run" true
+              (fingerprint ~seed:17 merged.Merge.m_report
+              = fingerprint ~seed:17 reference));
+        (* the daemon still serves its own clients *)
+        let c = Test_serve.connect_exn serve_socket in
+        Ise_serve.Client.close c);
+    (* a serve client pointed at a fabric worker *)
+    with_sim (fun sim ->
+        let socket = List.hd (Sim.sockets sim) in
+        (match Ise_serve.Client.connect socket with
+         | Ok _ -> Alcotest.fail "a serve client completed a fabric handshake"
+         | Error _ -> ());
+        List.iter
+          (fun req ->
+            let fd = raw_connect socket in
+            Proto.write_request fd req;
+            expect_err fd Framed.Unsupported_proto;
+            Unix.close fd)
+          [ Proto.Hello { proto = Proto.version; git_rev = "test" };
+            Proto.Shutdown ];
+        (* the worker still serves its own supervisors *)
+        let fd = raw_connect socket in
+        hello fd;
+        Unix.close fd)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* observability plane                                                 *)
@@ -979,38 +1053,6 @@ let test_fabric_trace_parenting () =
           evs;
         checkb "worker shard spans present" true (!shard_spans >= 8))
 
-let test_fabric_streaming_v1_degrades () =
-  if not (requires_fork ()) then ()
-  else
-    (* observability requested against a v1 fleet: the supervisor must
-       not ship ctx or stream flags those workers cannot decode, and
-       the campaign must be unaffected *)
-    let spec = Campaign.spec ~count:8 ~seeds_per_test:4 ~seed:13 () in
-    let reference = reference_run spec ~log:ignore in
-    with_sim ~n:2 ~proto:1 (fun sim ->
-        let reg = Registry_t.create () in
-        let observe =
-          { Supervisor.default_observe with
-            Supervisor.stream = true;
-            metrics = Some reg;
-            trace = Some (Trace_t.create ());
-            trace_id = "t-v1";
-          }
-        in
-        let cfg =
-          { (Supervisor.default_config ~workers:(Sim.sockets sim)) with
-            Supervisor.observe = observe;
-          }
-        in
-        let ranges, outcomes, stats = Supervisor.run cfg (Wire.Fuzz spec) in
-        checki "v1 workers stream nothing" 0
-          stats.Supervisor.f_telemetry_frames;
-        checki "nothing ran inline" 0 stats.Supervisor.f_inline;
-        let merged = Merge.merge spec ~ranges ~outcomes in
-        checkb "v1 fleet byte-identical under observe" true
-          (fingerprint ~seed:13 merged.Merge.m_report
-          = fingerprint ~seed:13 reference))
-
 let test_fabric_store_cache () =
   if not (requires_fork ()) then ()
   else
@@ -1171,10 +1213,8 @@ let suite =
       `Slow test_fabric_streaming_observability;
     Alcotest.test_case "fabric: stitched trace parents shard spans" `Slow
       test_fabric_trace_parenting;
-    Alcotest.test_case "fabric: observe degrades on a v1 fleet" `Slow
-      test_fabric_streaming_v1_degrades;
-    Alcotest.test_case "fabric: v1 workers still speak" `Slow
-      test_fabric_v1_compat;
+    Alcotest.test_case "fabric: other-version worker refused" `Slow
+      test_fabric_version_mismatch;
     Alcotest.test_case "fabric: store answers a repeated campaign" `Quick
       test_fabric_store_cache;
     Alcotest.test_case "fabric: dead fabric degrades to inline" `Quick
@@ -1185,4 +1225,6 @@ let suite =
       test_chaos_spec_mapping;
     Alcotest.test_case "chaos: fabric dispatch = local trial stream" `Slow
       test_chaos_fabric_identity;
+    Alcotest.test_case "fabric: serve and fabric peers refuse each other"
+      `Quick test_serve_fabric_cross_talk;
   ]

@@ -644,9 +644,9 @@ let test_stitch_orphans () =
     (stitched_events d)
 
 let test_stitch_mixed_versions () =
-  (* a v1/v2 worker streams nothing and writes no ctx: its file (if
-     any) has no receive anchor and no parents — it must merge with
-     offset 0 and no orphan tags *)
+  (* a worker file without trace context (no traced shard reached it)
+     has no receive anchor and no parents — it must merge with offset 0
+     and no orphan tags *)
   let v1 =
     { Ise_obs.Stitch.in_file = "worker-old.trace.json";
       in_doc = doc [ chrome_ev ~ph:"B" ~name:"shard 3" 400 ] }

@@ -79,8 +79,16 @@ let test_codec_corruption () =
 
 let test_codec_marshal_roundtrip () =
   let v = (42, "text", [ Some 1; None; Some 3 ]) in
-  let v' = Codec.unmarshal (Codec.marshal v) in
-  checkb "marshal round-trip" true (v = v')
+  let sealed = Codec.seal v in
+  checkb "sealed round-trip" true (Codec.unseal sealed = Some v);
+  (* any flipped byte — digest or stream — is refused *)
+  for i = 0 to String.length sealed - 1 do
+    let b = Bytes.of_string sealed in
+    Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x40));
+    checkb "corrupt payload refused" true
+      ((Codec.unseal (Bytes.to_string b) : (int * string * int option list) option)
+      = None)
+  done
 
 let with_pipe f =
   let r, w = Unix.pipe () in
@@ -92,13 +100,13 @@ let with_pipe f =
 
 let test_codec_fd_roundtrip () =
   with_pipe (fun r w ->
-      Codec.write_frame w "over the pipe";
-      (match Codec.read_frame r with
+      Codec.send w "over the pipe";
+      (match Codec.recv r with
       | Ok p -> checks "fd payload" "over the pipe" p
       | Error _ -> Alcotest.fail "fd round-trip failed");
       (* clean EOF at a frame boundary *)
       Unix.close w;
-      match Codec.read_frame r with
+      match (Codec.recv r : (string, _) result) with
       | Error `Eof -> ()
       | Ok _ -> Alcotest.fail "read past EOF"
       | Error (`Corrupt e) ->
@@ -108,12 +116,12 @@ let test_codec_fd_truncated () =
   (* a stream cut mid-frame (worker killed mid-write) is Corrupt
      Truncated, never a silent Eof *)
   with_pipe (fun r w ->
-      let framed = Codec.encode "cut short" in
+      let framed = Codec.encode (Codec.seal "cut short") in
       let half = String.length framed / 2 in
       let n = Unix.write_substring w framed 0 half in
       checki "partial write" half n;
       Unix.close w;
-      match Codec.read_frame r with
+      match (Codec.recv r : (string, _) result) with
       | Error (`Corrupt Codec.Truncated) -> ()
       | Error `Eof -> Alcotest.fail "mid-frame EOF reported as clean Eof"
       | Error (`Corrupt e) ->

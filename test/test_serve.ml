@@ -1,8 +1,9 @@
-(* Tests for Ise_serve: codec v1/v2 reader-writer pairings, canonical
-   litmus fingerprints (formatting-invariant, Table 6-distinct), the
-   content-addressed result store (round-trip, persistence, corruption
-   recovery, LRU front, gc), and the daemon itself — Hello discipline,
-   typed error frames for malformed/oversized/wrong-version input,
+(* Tests for Ise_serve: codec frame-version and protocol-byte checks,
+   canonical litmus fingerprints (formatting-invariant, Table
+   6-distinct), the content-addressed result store (round-trip,
+   persistence, corruption recovery, LRU front, gc), and the daemon
+   itself — strict Hello discipline, typed error frames for
+   malformed/oversized/wrong-version input and sealed corrupt payloads,
    cache hit ≡ cold-run byte-identity, fingerprint invalidation,
    concurrent clients, and SIGTERM drain.  Daemon cases fork the
    server process and are skipped on platforms without [Unix.fork]. *)
@@ -28,39 +29,31 @@ let tmp_dir () =
   d
 
 (* ------------------------------------------------------------------ *)
-(* codec: old ↔ new reader/writer pairings                             *)
+(* codec: one frame layout, one protocol byte per endpoint             *)
 
-let decode_str ?max_payload s =
-  Codec.decode ?max_payload (Bytes.of_string s) ~pos:0 ~len:(String.length s)
-
-let test_codec_v1_writer_new_reader () =
-  (* a frame from a v1 writer decodes in today's reader, as proto 0 *)
-  let framed = Codec.encode ~version:1 "legacy payload" in
-  checki "v1 header size" (Codec.header_bytes_v1 + 14) (String.length framed);
-  match decode_str framed with
-  | Codec.Frame { payload; proto; consumed } ->
-    checks "payload" "legacy payload" payload;
-    checki "proto defaults to 0" 0 proto;
-    checki "consumed" (String.length framed) consumed
-  | _ -> Alcotest.fail "v1 frame did not decode"
+let decode_str ?max_payload ?proto s =
+  Codec.decode ?max_payload ?proto (Bytes.of_string s) ~pos:0
+    ~len:(String.length s)
 
 let test_codec_v2_carries_proto () =
   let framed = Codec.encode ~proto:7 "new payload" in
-  checki "v2 header size" (Codec.header_bytes + 11) (String.length framed);
-  match decode_str framed with
-  | Codec.Frame { payload; proto; _ } ->
-    checks "payload" "new payload" payload;
-    checki "proto" 7 proto
-  | _ -> Alcotest.fail "v2 frame did not decode"
-
-let test_codec_v1_cannot_carry_proto () =
-  match Codec.encode ~version:1 ~proto:1 "p" with
-  | _ -> Alcotest.fail "v1 frame accepted a protocol byte"
-  | exception Invalid_argument _ -> ()
+  checki "header size" (Codec.header_bytes + 11) (String.length framed);
+  (match decode_str ~proto:7 framed with
+   | Codec.Frame { payload; consumed } ->
+     checks "payload" "new payload" payload;
+     checki "consumed" (String.length framed) consumed
+   | _ -> Alcotest.fail "frame did not decode at its own protocol");
+  (* a reader at any other protocol refuses from the header alone *)
+  (match decode_str ~proto:8 framed with
+   | Codec.Corrupt (Codec.Unsupported_proto 7) -> ()
+   | _ -> Alcotest.fail "protocol byte not checked");
+  match decode_str ~proto:8 (String.sub framed 0 6) with
+  | Codec.Corrupt (Codec.Unsupported_proto 7) -> ()
+  | _ -> Alcotest.fail "short frame at the wrong protocol not refused"
 
 let test_codec_future_version_rejected () =
-  (* hand-craft a "v3" frame: the reader must refuse at the version
-     byte, never guess at the layout *)
+  (* hand-craft a version-3 frame: the reader must refuse at the
+     version byte, never guess at the layout *)
   let b = Bytes.of_string (Codec.encode ~proto:0 "payload") in
   Bytes.set b 4 (Char.chr 3);
   (match Codec.decode b ~pos:0 ~len:(Bytes.length b) with
@@ -73,18 +66,49 @@ let test_codec_future_version_rejected () =
   | _ -> Alcotest.fail "short future frame not rejected"
 
 let test_codec_fd_pairing () =
-  (* write_frame/read_frame_ext agree for both header versions *)
+  (* send/recv agree at one protocol and refuse across two *)
   let r, w = Unix.pipe () in
-  Codec.write_frame ~proto:3 w "over the wire";
-  Unix.write_substring w (Codec.encode ~version:1 "old style") 0
-    (String.length (Codec.encode ~version:1 "old style"))
-  |> ignore;
-  (match Codec.read_frame_ext r with
-   | Ok (3, "over the wire") -> ()
-   | _ -> Alcotest.fail "v2 fd round-trip");
-  (match Codec.read_frame_ext r with
-   | Ok (0, "old style") -> ()
-   | _ -> Alcotest.fail "v1 fd round-trip");
+  Codec.send ~proto:3 w "over the wire";
+  Codec.send ~proto:4 w "other build";
+  (match Codec.recv ~proto:3 r with
+   | Ok "over the wire" -> ()
+   | _ -> Alcotest.fail "fd round-trip");
+  (match (Codec.recv ~proto:3 r : (string, _) result) with
+   | Error (`Corrupt (Codec.Unsupported_proto 4)) -> ()
+   | _ -> Alcotest.fail "foreign protocol byte accepted");
+  Unix.close r;
+  Unix.close w
+
+let test_codec_proto_byte_range () =
+  (* the protocol byte is one unsigned byte: both ends of the range
+     round-trip, anything outside it is refused at encode time *)
+  List.iter
+    (fun proto ->
+      match decode_str ~proto (Codec.encode ~proto "p") with
+      | Codec.Frame { payload = "p"; _ } -> ()
+      | _ -> Alcotest.failf "proto %d did not round-trip" proto)
+    [ 0; 255 ];
+  List.iter
+    (fun proto ->
+      match Codec.encode ~proto "p" with
+      | _ -> Alcotest.failf "proto %d accepted" proto
+      | exception Invalid_argument _ -> ())
+    [ -1; 256 ]
+
+let test_codec_serve_frames_at_version () =
+  (* Proto's framed I/O is Codec at Proto.version: a response written
+     by the daemon side reads back, and a pool-protocol reader refuses
+     the same frame from its header *)
+  let r, w = Unix.pipe () in
+  Proto.write_response w (Proto.Metrics "m 1\n");
+  (match Proto.read_response r with
+   | Ok (Proto.Metrics "m 1\n") -> ()
+   | _ -> Alcotest.fail "response did not round-trip");
+  Proto.write_request w Proto.Stats_req;
+  (match (Codec.recv r : (Proto.request, _) result) with
+   | Error (`Corrupt (Codec.Unsupported_proto v)) ->
+     checki "refused byte is Proto.version" Proto.version v
+   | _ -> Alcotest.fail "serve frame accepted at protocol 0");
   Unix.close r;
   Unix.close w
 
@@ -397,20 +421,15 @@ let test_serve_unsupported_proto () =
   if not (requires_fork ()) then ()
   else
     with_daemon (fun ~dir:_ ~socket ~pid:_ ->
-        match Client.connect ~proto:99 ~retries:100 socket with
-        | Ok c ->
-          Client.close c;
-          Alcotest.fail "daemon accepted protocol v99"
-        | Error msg ->
-          checkb "names the version mismatch" true
-            (String.length msg > 0
-            && (let re = "unsupported-proto" in
-                let rec find i =
-                  i + String.length re <= String.length msg
-                  && (String.sub msg i (String.length re) = re
-                     || find (i + 1))
-                in
-                find 0)))
+        (* strict equality, no negotiation: a Hello one version either
+           side of ours is refused by name *)
+        List.iter
+          (fun proto ->
+            let fd = raw_connect socket in
+            Proto.write_request fd (Proto.Hello { proto; git_rev = "test" });
+            expect_err fd Proto.Unsupported_proto;
+            Unix.close fd)
+          [ Proto.version + 1; Proto.version - 1; 99 ])
 
 let test_serve_malformed_frame () =
   if not (requires_fork ()) then ()
@@ -444,10 +463,52 @@ let test_serve_wrong_frame_proto () =
     with_daemon (fun ~dir:_ ~socket ~pid:_ ->
         let fd = raw_connect socket in
         (* well-formed frame, wrong application-protocol byte *)
-        Codec.write_frame ~proto:(Proto.version + 1) fd
-          (Codec.marshal Proto.Stats_req);
+        Codec.send ~proto:(Proto.version + 1) fd Proto.Stats_req;
         expect_err fd Proto.Unsupported_proto;
         Unix.close fd)
+
+(* Up to five random byte overwrites of a marshal stream, then (one
+   time in four) a truncation — the corruption a hostile peer can
+   re-seal with a correct digest. *)
+let scramble ~seed s =
+  let rng = Ise_util.Rng.create (2000 + seed) in
+  let b = Bytes.of_string s in
+  let n = Bytes.length b in
+  for _ = 0 to Ise_util.Rng.int rng 4 do
+    Bytes.set b (Ise_util.Rng.int rng n) (Char.chr (Ise_util.Rng.int rng 256))
+  done;
+  if Ise_util.Rng.int rng 4 = 0 && n > 1 then
+    Bytes.sub_string b 0 (1 + Ise_util.Rng.int rng (n - 1))
+  else Bytes.to_string b
+
+let reseal s = Digest.string s ^ s
+
+let test_serve_sealed_corrupt_request () =
+  if not (requires_fork ()) then ()
+  else
+    with_daemon (fun ~dir:_ ~socket ~pid:_ ->
+        (* a correctly framed and sealed Hello whose marshal stream is
+           structurally corrupt: unmarshalled raw, this input segfaults
+           the runtime *)
+        let corrupt =
+          scramble ~seed:259
+            (Marshal.to_string
+               (Proto.Hello { proto = Proto.version; git_rev = "cafe" })
+               [])
+        in
+        checkb "input is structurally corrupt" false
+          (Codec.valid_marshal corrupt);
+        let fd = raw_connect socket in
+        let frame = Codec.encode ~proto:Proto.version (reseal corrupt) in
+        ignore (Unix.write_substring fd frame 0 (String.length frame));
+        expect_err fd Proto.Malformed_frame;
+        Unix.close fd;
+        (* and the daemon still serves a fresh connection *)
+        let c = connect_exn socket in
+        (match Client.server_stats c with
+         | Ok st -> checki "daemon logged the error" 1 st.Proto.ss_errors
+         | Error msg -> Alcotest.failf "daemon gone after hostile frame: %s" msg);
+        Client.close c)
 
 let run_cold params t =
   (* the no-daemon reference: exactly what `ise litmus -j 1` prints *)
@@ -676,16 +737,16 @@ let test_serve_pool_fanout_identity () =
 
 let suite =
   [
-    Alcotest.test_case "codec: v1 writer, new reader" `Quick
-      test_codec_v1_writer_new_reader;
     Alcotest.test_case "codec: v2 carries proto byte" `Quick
       test_codec_v2_carries_proto;
-    Alcotest.test_case "codec: v1 cannot carry proto" `Quick
-      test_codec_v1_cannot_carry_proto;
     Alcotest.test_case "codec: future version rejected" `Quick
       test_codec_future_version_rejected;
     Alcotest.test_case "codec: fd helpers pair across versions" `Quick
       test_codec_fd_pairing;
+    Alcotest.test_case "codec: protocol byte range" `Quick
+      test_codec_proto_byte_range;
+    Alcotest.test_case "codec: serve frames at Proto.version" `Quick
+      test_codec_serve_frames_at_version;
     Alcotest.test_case "fingerprint: metadata-invariant" `Quick
       test_fingerprint_metadata_invariant;
     Alcotest.test_case "fingerprint: renaming-invariant" `Quick
@@ -721,6 +782,8 @@ let suite =
       test_serve_oversized_frame;
     Alcotest.test_case "serve: wrong frame proto → typed error" `Quick
       test_serve_wrong_frame_proto;
+    Alcotest.test_case "serve: sealed corrupt request → typed error" `Quick
+      test_serve_sealed_corrupt_request;
     Alcotest.test_case "serve: cache hit ≡ cold run bytes" `Quick
       test_serve_cache_hit_byte_identity;
     Alcotest.test_case "serve: fingerprint change invalidates" `Quick
