@@ -74,6 +74,7 @@ let table3_cores = 4
 
 let table3 () =
   section "Table 3: Instruction mix, WC speedup, ASO speculation state (KB)";
+  let t_start = Unix.gettimeofday () in
   print_endline
     "(per-core speculation state required to reach 98% of WC IPC;\n\
      three systems: baseline, 2x memory latency, 4x store-to-load skew)\n";
@@ -121,7 +122,13 @@ let table3 () =
       flush stdout)
     Ise_workload.Mix.table3;
   Table.print t;
-  emit_bench "table3" (Ise_telemetry.Json.List (List.rev !rows));
+  let wall = Unix.gettimeofday () -. t_start in
+  emit_bench "table3"
+    (Ise_telemetry.Json.Obj
+       [ ("rows", Ise_telemetry.Json.List (List.rev !rows));
+         (* host seconds of the ASO sizing runs: the simulator's
+            end-to-end speed on the paper's Table 3 *)
+         ("wall_s", Ise_telemetry.Json.Float wall) ]);
   print_endline
     "\nShape checks (paper): 2x memory latency needs about the same state\n\
      as the baseline; 4x store-to-load skew needs considerably more;\n\
@@ -295,6 +302,7 @@ let fig5 () =
 
 let fig6 () =
   section "Figure 6: Relative performance with imprecise store exceptions";
+  let t_start = Unix.gettimeofday () in
   let t =
     Table.create
       ~headers:
@@ -386,7 +394,11 @@ let fig6 () =
   tail_row "Masstree"
     (Ise_workload.Tailbench.masstree ~requests:50_000 ~base ());
   Table.print t;
-  emit_bench "fig6" (Ise_telemetry.Json.List (List.rev !bench_rows));
+  let wall = Unix.gettimeofday () -. t_start in
+  emit_bench "fig6"
+    (Ise_telemetry.Json.Obj
+       [ ("rows", Ise_telemetry.Json.List (List.rev !bench_rows));
+         ("wall_s", Ise_telemetry.Json.Float wall) ]);
   print_endline
     "\nAll workloads run start to finish with exceptions transparently\n\
      handled (results verified against fault-free runs).  The paper\n\

@@ -124,3 +124,11 @@ val set_telemetry : t -> Ise_telemetry.Sink.t -> unit
 val sb_occupancy : t -> int
 val rob_occupancy : t -> int
 (** Instantaneous occupancies, for periodic probes. *)
+
+(** {1 Testing} *)
+
+val check_indexes : t -> (unit, string) result
+(** Read-only consistency check of the issue-scan indexes, for tests:
+    the not-done chain must list exactly the ROB entries that are not
+    inert (not [Done], or a store with an unresolved address), and the
+    store ring exactly the in-ROB stores and AMOs, both in ROB order. *)
