@@ -116,6 +116,16 @@ type t = {
   mutable phase : phase;
   stats : stats;
   mutable progress : bool;
+  (* Sleep: a step without progress leaves the core frozen until an
+     event or an exported mutator changes it, so the run loop skips it
+     until then.  [slept] counts the skipped visits not yet credited;
+     [idle_sb_stalls]/[idle_rob_stalls] are what the step that put the
+     core to sleep added to the stall counters, and so what each of
+     those visits would have added. *)
+  mutable asleep : bool;
+  mutable slept : int;
+  mutable idle_sb_stalls : int;
+  mutable idle_rob_stalls : int;
   mutable tel : tel option;
   mutable chaos : chaos_hooks option;
   mutable handler_invoked : bool;
@@ -170,6 +180,10 @@ let create cfg engine mem env ~id ~program =
     phase = Running;
     stats = fresh_stats ();
     progress = false;
+    asleep = false;
+    slept = 0;
+    idle_sb_stalls = 0;
+    idle_rob_stalls = 0;
     tel = None;
     chaos = None;
     handler_invoked = false;
@@ -179,8 +193,45 @@ let create cfg engine mem env ~id ~program =
 
 let id t = t.core_id
 let fsb t = t.fsb_
-let stats t = t.stats
-let set_chaos t c = t.chaos <- c
+
+(* ------------------------------------------------------------------ *)
+(* Sleep and wake                                                      *)
+
+let settle t =
+  if t.slept > 0 then begin
+    t.stats.sb_full_stalls <-
+      t.stats.sb_full_stalls + (t.slept * t.idle_sb_stalls);
+    t.stats.rob_full_stalls <-
+      t.stats.rob_full_stalls + (t.slept * t.idle_rob_stalls);
+    t.slept <- 0
+  end
+
+let wake t =
+  if t.asleep then begin
+    settle t;
+    t.asleep <- false
+  end
+
+(* The only ways anything reaches the core from outside its own step:
+   each closure wakes the core it belongs to, whichever context (this
+   core's step, another core's memory completion, the OS) runs it. *)
+let schedule t delay f =
+  Engine.schedule_in t.engine delay (fun () ->
+      wake t;
+      f ())
+
+let request t ~addr kind k =
+  Memsys.request t.mem ~core:t.core_id ~addr kind (fun result ->
+      wake t;
+      k result)
+
+let stats t =
+  settle t;
+  t.stats
+
+let set_chaos t c =
+  wake t;
+  t.chaos <- c
 
 let in_exception_drain t =
   match t.phase with
@@ -459,7 +510,7 @@ let flush_and_invoke_handler t ~drain_cycles =
   t.phase <- In_handler;
   if not t.handler_invoked then begin
     t.handler_invoked <- true;
-    Engine.schedule_in t.engine t.cfg.Config.pipeline_flush_cost (fun () ->
+    schedule t t.cfg.Config.pipeline_flush_cost (fun () ->
         if t.phase <> Terminated then t.env.on_imprecise t.core_id)
   end
 
@@ -469,7 +520,7 @@ let flush_and_invoke_handler t ~drain_cycles =
 let invoke_handler_early t =
   if not t.handler_invoked then begin
     t.handler_invoked <- true;
-    Engine.schedule_in t.engine 1 (fun () ->
+    schedule t 1 (fun () ->
         if t.phase <> Terminated then t.env.on_imprecise t.core_id)
   end
 
@@ -575,7 +626,7 @@ let start_fsb_drain t =
     and retry () =
       let backoff = max 1 (drain_cost * 4) in
       drain_cycles := !drain_cycles + backoff;
-      Engine.schedule_in t.engine backoff attempt
+      schedule t backoff attempt
     in
     attempt ()
   in
@@ -589,7 +640,7 @@ let start_fsb_drain t =
   let rec append_chain = function
     | [] -> ()
     | (e : Sb.entry) :: rest ->
-      Engine.schedule_in t.engine (drain_cost + chaos_put_delay ()) (fun () ->
+      schedule t (drain_cost + chaos_put_delay ()) (fun () ->
           if t.phase <> Terminated then
             put_record (record_of_sb_entry t e) (fun () -> append_chain rest))
   in
@@ -600,7 +651,7 @@ let start_fsb_drain t =
   let rec drain_to_memory = function
     | [] -> ()
     | (e : Sb.entry) :: rest ->
-      Memsys.request t.mem ~core:t.core_id ~addr:e.Sb.e_addr
+      request t ~addr:e.Sb.e_addr
         (Memsys.Write { data = e.Sb.e_data; mask = e.Sb.e_mask })
         (fun result ->
           if t.phase = Terminated then ()
@@ -618,7 +669,7 @@ let start_fsb_drain t =
               put_record record (fun () -> drain_to_memory rest))
   in
   if !remaining = 0 then
-    Engine.schedule_in t.engine 1 (fun () -> finish_if_ready ())
+    schedule t 1 finish_if_ready
   else drain_to_memory routing.Ise_core.Protocol.to_memory
 
 let begin_exception_episode t =
@@ -679,7 +730,7 @@ let drain_sb t =
     (fun (entry : Sb.entry) ->
       Sb.mark_inflight t.sb entry;
       t.progress <- true;
-      Memsys.request t.mem ~core:t.core_id ~addr:entry.Sb.e_addr
+      request t ~addr:entry.Sb.e_addr
         (Memsys.Write { data = entry.Sb.e_data; mask = entry.Sb.e_mask })
         (fun result -> on_drain_response t entry result))
     picks
@@ -696,7 +747,9 @@ let take_precise_fault t ~addr ~code =
   t.stats.precise_exceptions <- t.stats.precise_exceptions + 1;
   flush_pipeline t;
   if t.phase = Running then t.phase <- Paused;
-  t.env.on_precise ~core:t.core_id ~addr ~code ~retry:(fun () -> unpause t)
+  t.env.on_precise ~core:t.core_id ~addr ~code ~retry:(fun () ->
+      wake t;
+      unpause t)
 
 let forward_from_rob t (load : rob_entry) =
   (* nearest older store to the same word: forward if resolved; block
@@ -731,7 +784,7 @@ let issue_load t (e : rob_entry) =
   t.progress <- true;
   match forward_from_rob t e with
   | `Forward v ->
-    Engine.schedule_in t.engine t.cfg.Config.l1_latency (fun () ->
+    schedule t t.cfg.Config.l1_latency (fun () ->
         if entry_live t e then begin
           e.r_value <- v;
           set_done t e
@@ -740,56 +793,42 @@ let issue_load t (e : rob_entry) =
   | `Miss -> (
     match Sb.forward t.sb ~addr:e.r_addr with
     | Some v ->
-      Engine.schedule_in t.engine t.cfg.Config.l1_latency (fun () ->
+      schedule t t.cfg.Config.l1_latency (fun () ->
           if entry_live t e then begin
             e.r_value <- v;
             set_done t e
           end)
     | None ->
-      let send () =
-        Memsys.request t.mem ~core:t.core_id ~addr:e.r_addr Memsys.Read
-          (fun result ->
-            if entry_live t e then
-              match result with
-              | Memsys.Value v ->
-                e.r_value <- v;
-                set_done t e
-              | Memsys.Denied code ->
-                take_precise_fault t ~addr:e.r_addr ~code)
-      in
-      send ())
+      request t ~addr:e.r_addr Memsys.Read (fun result ->
+          if entry_live t e then
+            match result with
+            | Memsys.Value v ->
+              e.r_value <- v;
+              set_done t e
+            | Memsys.Denied code -> take_precise_fault t ~addr:e.r_addr ~code))
 
 let issue_amo t (e : rob_entry) op =
   e.r_status <- Executing;
   t.progress <- true;
-  let send () =
-    Memsys.request t.mem ~core:t.core_id ~addr:e.r_addr (Memsys.Atomic op)
-      (fun result ->
-        if entry_live t e then
-          match result with
-          | Memsys.Value old ->
-            e.r_value <- old;
-            set_done t e
-          | Memsys.Denied code ->
-            take_precise_fault t ~addr:e.r_addr ~code)
-  in
-  send ()
+  request t ~addr:e.r_addr (Memsys.Atomic op) (fun result ->
+      if entry_live t e then
+        match result with
+        | Memsys.Value old ->
+          e.r_value <- old;
+          set_done t e
+        | Memsys.Denied code -> take_precise_fault t ~addr:e.r_addr ~code)
 
 let issue_sc_store t (e : rob_entry) =
   e.r_status <- Executing;
   t.progress <- true;
-  let send () =
-    Memsys.request t.mem ~core:t.core_id ~addr:e.r_addr
-      (Memsys.Write { data = e.r_data; mask = 0xFF })
-      (fun result ->
-        if entry_live t e then
-          match result with
-          | Memsys.Value _ -> set_done t e
-          | Memsys.Denied code ->
-            (* without a store buffer the fault is precise (§2.3) *)
-            take_precise_fault t ~addr:e.r_addr ~code)
-  in
-  send ()
+  request t ~addr:e.r_addr (Memsys.Write { data = e.r_data; mask = 0xFF })
+    (fun result ->
+      if entry_live t e then
+        match result with
+        | Memsys.Value _ -> set_done t e
+        | Memsys.Denied code ->
+          (* without a store buffer the fault is precise (§2.3) *)
+          take_precise_fault t ~addr:e.r_addr ~code)
 
 let issue t =
   let sc = t.cfg.Config.consistency = Ise_model.Axiom.Sc in
@@ -835,8 +874,7 @@ let issue t =
                  && e.r_seq - t.rob_head < t.cfg.Config.sc_store_issue_window
               then begin
                 e.prefetched <- true;
-                Memsys.request t.mem ~core:t.core_id ~addr:a
-                  Memsys.Prefetch_exclusive (fun _ -> ())
+                request t ~addr:a Memsys.Prefetch_exclusive ignore
               end;
               if is_head && (not !fence_pending) && not !older_store_unissued
               then issue_sc_store t e
@@ -953,8 +991,8 @@ let dispatch t =
         (match instr with
          | Sim_instr.Nop n ->
            e.ready_at <- Engine.now t.engine + max 1 n;
-           (* wake the machine when the nop completes *)
-           Engine.schedule_in t.engine (max 1 n) (fun () -> ())
+           (* wake the core when the nop completes *)
+           schedule t (max 1 n) ignore
          | Sim_instr.Ld { dst; _ } | Sim_instr.Amo { dst; _ } ->
            t.producers.(dst) <- e.r_seq
          | _ -> ());
@@ -974,6 +1012,9 @@ let dispatch t =
 (* Top level                                                           *)
 
 let step t =
+  wake t;
+  let sb_stalls = t.stats.sb_full_stalls
+  and rob_stalls = t.stats.rob_full_stalls in
   t.progress <- false;
   (match t.phase with
    | Running ->
@@ -992,7 +1033,19 @@ let step t =
        t.progress <- true
      end
    | Draining_fsb | In_handler | Terminated -> ());
+  if not t.progress then begin
+    t.asleep <- true;
+    t.idle_sb_stalls <- t.stats.sb_full_stalls - sb_stalls;
+    t.idle_rob_stalls <- t.stats.rob_full_stalls - rob_stalls
+  end;
   t.progress
+
+let visit t =
+  if t.asleep then begin
+    t.slept <- t.slept + 1;
+    false
+  end
+  else step t
 
 let is_done t =
   match t.phase with
@@ -1006,10 +1059,11 @@ let is_done t =
    IE bit is set during exception handling and while another handler
    runs).  Returns whether the interrupt was taken. *)
 let interrupt t ~handler_cycles =
+  wake t;
   match t.phase with
   | Running ->
     t.phase <- Paused;
-    Engine.schedule_in t.engine (max 1 handler_cycles) (fun () ->
+    schedule t (max 1 handler_cycles) (fun () ->
         (* exceptions detected while the interrupt handler ran are
            taken now, in order, before user execution resumes *)
         unpause t);
@@ -1024,6 +1078,7 @@ let in_episode t =
   | Running | Paused | Terminated -> false
 
 let terminate t =
+  wake t;
   (match t.tel with
    | None -> ()
    | Some tel when in_episode t ->
@@ -1051,6 +1106,7 @@ let terminate t =
   clear_indexes t
 
 let resume t =
+  wake t;
   if t.phase <> Terminated then begin
     (match t.tel with
      | None -> ()

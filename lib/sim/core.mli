@@ -42,6 +42,14 @@ type stats = {
       (** FSBC drain + pipeline-flush cycles (Figure 5's µarch part) *)
   mutable sb_full_stalls : int;
   mutable rob_full_stalls : int;
+      (** [sb_full_stalls] and [rob_full_stalls] count run-loop visits,
+          not simulated stall cycles: each step that finds the store
+          buffer (ROB) full adds one, and the run loop steps a stalled
+          core once per iteration, so every extra iteration (a probe
+          tick, an OS event) adds to them.  They therefore change with
+          the telemetry probe period.  A core that sleeps through
+          iterations (see {!visit}) is credited exactly what those
+          steps would have added. *)
   mutable fsb_overflow_stalls : int;
       (** appends that found the FSB full (or chaos backpressure) and
           stalled under [Fsb_stall] *)
@@ -58,7 +66,23 @@ val create :
 
 val id : t -> int
 val step : t -> bool
-(** One cycle; returns whether any pipeline activity happened. *)
+(** One cycle; returns whether any pipeline activity happened.  A step
+    without progress puts the core to sleep: its state is frozen until
+    an engine event or memory completion the core scheduled, or one of
+    the mutators below ({!resume}, {!terminate}, {!interrupt},
+    {!set_chaos}, a precise fault's [retry]), wakes it. *)
+
+val visit : t -> bool
+(** One run-loop visit: {!step} an awake core; for a sleeping core,
+    count the skipped step and return [false], which is what stepping
+    it would have returned.  The skipped steps' stall counts are
+    credited to {!stats} on wake, by {!settle}, and whenever {!stats}
+    is read. *)
+
+val settle : t -> unit
+(** Credits the stall counts of the visits a sleeping core has skipped
+    so far; the core stays asleep.  {!Machine.run} calls it at the end
+    of a run. *)
 
 val is_done : t -> bool
 (** Program exhausted, pipeline and store buffer empty, no handler in

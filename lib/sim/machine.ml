@@ -176,8 +176,11 @@ let run ?(max_cycles = 50_000_000) t =
         (Printf.sprintf "Machine.run: exceeded %d cycles (livelock?)" max_cycles)
     else begin
       ignore (Engine.run_due t.engine);
+      (* a core whose last step made no progress sleeps until an event
+         or a call from outside wakes it: visiting it only counts the
+         skipped step, which would have made no progress either *)
       let progress = ref false in
-      Array.iter (fun c -> if Core.step c then progress := true) t.cores;
+      Array.iter (fun c -> if Core.visit c then progress := true) t.cores;
       if all_done t then ()
       else if !progress then begin
         Engine.advance t.engine;
@@ -185,8 +188,9 @@ let run ?(max_cycles = 50_000_000) t =
       end
       else if Engine.skip_to_next_event t.engine then loop ()
       else if Engine.pending t.engine > 0 then begin
-        (* events due this very cycle were scheduled during core
-           stepping: run them before advancing *)
+        (* the next event is due this very cycle: a core step
+           scheduled it with no delay.  The clock advances first, so it
+           runs one cycle late, on the next iteration *)
         Engine.advance t.engine;
         loop ()
       end
@@ -196,7 +200,8 @@ let run ?(max_cycles = 50_000_000) t =
              (Engine.now t.engine))
     end
   in
-  loop ()
+  loop ();
+  Array.iter Core.settle t.cores
 
 let cycles t = Engine.now t.engine
 
